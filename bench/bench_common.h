@@ -72,7 +72,7 @@ struct Options {
   static void usage(const char* argv0, std::FILE* out) {
     std::fprintf(out,
                  "usage: %s [--seconds=S] [--threads=a,b,c] [--substrate=emul|sim|rtm]\n"
-                 "          [--pin=none|compact|scatter] [--cm=fixed|adaptive|aggressive]\n"
+                 "          [--pin=none|compact|scatter] [--cm=fixed|adaptive]\n"
                  "          [--numa=off|shard|shard+clock]\n"
                  "          [--full] [--list] [--scenario=a,b] [--json-dir=DIR] [--no-json]\n"
                  "          [--trace=FILE[:CAP]] [--timeline=MS]\n"
@@ -85,7 +85,7 @@ struct Options {
                  "  --pin=none|compact|scatter\n"
                  "                       worker-thread affinity (compact fills adjacent CPUs,\n"
                  "                       scatter alternates across the CPU id halves)\n"
-                 "  --cm=fixed|adaptive|aggressive\n"
+                 "  --cm=fixed|adaptive\n"
                  "                       contention-management policy (core/contention.h;\n"
                  "                       fixed = the paper's coins/budgets, the baseline)\n"
                  "  --numa=off|shard|shard+clock\n"
@@ -434,8 +434,8 @@ enum class Series {
   kRh1Mix100,    ///< "RH1 Mixed 100": every abort retried on the slow path
   kHybridNorec,  ///< Hybrid NOrec: global-seqlock hybrid (coarse conflicts)
   kPhasedTm,     ///< Phased TM: global hardware/software phase switch
-  kTatas,        ///< TATAS lock elision: global test-and-test-and-set lock,
-                 ///< hardware-elided (the contention scenario's calibration floor)
+  kTatas,        ///< TATAS lock elision: HtmOnly with a bounded attempt budget
+                 ///< (the contention scenario's calibration floor)
 };
 
 [[nodiscard]] inline const char* to_string(Series s) {
@@ -506,9 +506,11 @@ decltype(auto) with_series_tm(TmUniverse<H>& universe, Series series,
       return fn(tm);
     }
     case Series::kTatas: {
-      typename TatasElision<H>::Config cfg;
+      typename HtmOnly<H>::Config cfg;
       cfg.inject_abort_bp = inject_bp;
-      TatasElision<H> tm(universe, cfg);
+      cfg.max_hw_attempts = 8;
+      cfg.capacity_retries = 2;
+      HtmOnly<H> tm(universe, cfg);
       return fn(tm);
     }
     case Series::kTl2: break;

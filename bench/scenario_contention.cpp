@@ -48,7 +48,6 @@ struct PolicySeries {
 const PolicySeries kMatrix[] = {
     {Series::kRh1Mix100, CmPolicy::kFixed},
     {Series::kRh1Mix100, CmPolicy::kAdaptive},
-    {Series::kRh1Mix100, CmPolicy::kAggressive},
     {Series::kHybridNorec, CmPolicy::kFixed},
     {Series::kHybridNorec, CmPolicy::kAdaptive},
     {Series::kTatas, CmPolicy::kFixed},
@@ -113,8 +112,7 @@ void run_matrix(report::TableData& table, const Options& opt, const UniverseConf
 /// the policies separate sharply and deterministically: fixed Mixed-100
 /// wastes one full speculative execution per transaction (50% of attempts),
 /// the adaptive manager's software mode cuts that to the probe rate
-/// (~1/probe_period), and aggressive shows the greedy end burning its whole
-/// attempt ceiling.
+/// (~1/probe_period).
 template <class H, class OpFactory>
 void run_pressure_matrix(report::TableData& table, const Options& opt,
                          const UniverseConfig& base, unsigned threads, OpFactory&& op) {
@@ -197,7 +195,7 @@ void run_contention(const Options& opt, report::BenchReport& rep) {
 }  // namespace
 
 RHTM_SCENARIO(contention, "extension §2.3",
-              "Fixed vs adaptive vs aggressive contention management: contended, "
+              "Fixed vs adaptive contention management: contended, "
               "uncontended, and capacity-stressed sweeps") {
   report::BenchReport rep;
   rep.substrate = opt.substrate_name();

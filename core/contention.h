@@ -30,13 +30,9 @@
 //                  none after capacity (escalation is imminent),
 //                  proportional to the observed conflict density after
 //                  conflicts, bounded-exponential otherwise.
-//  * kAggressive — hold on to hardware: no Mixed-N coin, a high attempt
-//                  ceiling, near-zero backoff. The greedy end of the sweep
-//                  (and a liveness bound so 100%-abort pressure cannot
-//                  livelock).
 //
 // The policy is selected per universe (UniverseConfig::cm, bench flag
-// --cm=fixed|adaptive|aggressive); the per-protocol *limits* (coin
+// --cm=fixed|adaptive); the per-protocol *limits* (coin
 // percentage, attempt budget, capacity retries) stay in each protocol's
 // Config and are merged in at ThreadCtx construction. All state is
 // per-thread and all decisions are deterministic functions of the call
@@ -52,7 +48,7 @@
 namespace rhtm {
 
 /// The contention-management policy axis (--cm= flag, UniverseConfig::cm).
-enum class CmPolicy : std::uint8_t { kFixed, kAdaptive, kAggressive };
+enum class CmPolicy : std::uint8_t { kFixed, kAdaptive };
 
 /// Canonical policy names: the --cm= flag values and the JSON reports'
 /// `cm` meta field. Single source of truth for both.
@@ -60,15 +56,13 @@ enum class CmPolicy : std::uint8_t { kFixed, kAdaptive, kAggressive };
   switch (p) {
     case CmPolicy::kFixed: return "fixed";
     case CmPolicy::kAdaptive: return "adaptive";
-    case CmPolicy::kAggressive: return "aggressive";
   }
   return "?";
 }
 
 /// Parses a canonical policy name. Returns false on an unknown name.
 [[nodiscard]] inline bool parse_cm_policy(const char* name, CmPolicy* out) {
-  for (const CmPolicy p :
-       {CmPolicy::kFixed, CmPolicy::kAdaptive, CmPolicy::kAggressive}) {
+  for (const CmPolicy p : {CmPolicy::kFixed, CmPolicy::kAdaptive}) {
     if (std::strcmp(name, to_string(p)) == 0) {
       *out = p;
       return true;
@@ -94,8 +88,7 @@ struct CmConfig {
   unsigned sw_streak = 4;
   // ...and re-probes hardware once every probe_period transactions.
   unsigned probe_period = 64;
-  unsigned backoff_cap_shift = 10;      ///< exponential backoff cap: 1<<cap pauses
-  unsigned aggressive_attempts = 16;    ///< aggressive liveness bound
+  unsigned backoff_cap_shift = 10;  ///< exponential backoff cap: 1<<cap pauses
 };
 
 namespace detail {
@@ -140,7 +133,7 @@ class ContentionManager {
   /// and decides whether to skip hardware entirely this transaction.
   /// Adaptive only: after sw_streak consecutive hardware failures the
   /// thread runs software-first, re-probing hardware once every
-  /// probe_period transactions. Fixed and aggressive always return false.
+  /// probe_period transactions. Fixed always returns false.
   [[nodiscard]] bool start_in_software() {
     tx_attempts_ = 0;
     tx_capacity_ = 0;
@@ -178,8 +171,6 @@ class ContentionManager {
                rng.percent_chance(lim_.slow_retry_percent);
       case CmPolicy::kAdaptive:
         return tx_attempts_ >= hw_threshold();
-      case CmPolicy::kAggressive:
-        return tx_attempts_ >= cfg_.aggressive_attempts;
     }
     return false;
   }
@@ -200,7 +191,7 @@ class ContentionManager {
   /// adaptive software mode persists until a probe commits in hardware.
   void on_software_commit() {}
 
-  /// Entry to a software execution (run_slow / tl2_run): resets the
+  /// Entry to a software execution (detail::software_attempts): resets the
   /// software backoff step, mirroring the historical per-call counter.
   void begin_software() { sw_step_ = 0; }
 
@@ -220,9 +211,6 @@ class ContentionManager {
         }
         detail::exponential_spin(step, cfg_.backoff_cap_shift);
         return;
-      case CmPolicy::kAggressive:
-        for (unsigned i = 0; i < 4; ++i) detail::cpu_relax();
-        return;
     }
   }
 
@@ -230,8 +218,7 @@ class ContentionManager {
   /// validation). The step counter spans all software retries of the
   /// current transaction, mirroring the historical per-call counter.
   void backoff_software() {
-    const unsigned cap =
-        cfg_.policy == CmPolicy::kAggressive ? 6 : cfg_.backoff_cap_shift;
+    const unsigned cap = cfg_.backoff_cap_shift;
     detail::exponential_spin(sw_step_++, cap);
     if (sw_step_ > cap + 1) sw_step_ = cap + 1;  // saturate; spin is capped anyway
   }
@@ -240,10 +227,6 @@ class ContentionManager {
   /// reduced commit / RH2 commit conflict loop). `step` is the commit
   /// loop's own retry counter.
   void backoff_commit(unsigned step) {
-    if (cfg_.policy == CmPolicy::kAggressive) {
-      for (unsigned i = 0; i < 4; ++i) detail::cpu_relax();
-      return;
-    }
     detail::exponential_spin(step, cfg_.backoff_cap_shift);
   }
 

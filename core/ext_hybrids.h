@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/htm_only.h"
 #include "core/tl2.h"
 
 namespace rhtm {
@@ -33,25 +32,15 @@ class HybridNorec {
     unsigned capacity_retries = 2;
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(HybridNorec& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
-                                        tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
+        : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{
+                                            0, tm.cfg_.max_hw_attempts,
+                                            tm.cfg_.capacity_retries}) {}
 
    private:
     friend class HybridNorec;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
     WriteSet ws_;
     std::vector<std::pair<const TmCell*, TmWord>> read_log_;  ///< value-based (NOrec)
     std::vector<pmem::CapturedWrite> hw_redo_;  ///< durable: hw-path write capture
@@ -62,7 +51,7 @@ class HybridNorec {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    detail::transaction(ctx, [&] { run(ctx, body); });
   }
 
  private:
@@ -120,116 +109,72 @@ class HybridNorec {
 
   template <class Body>
   void run(ThreadCtx& ctx, Body& body) {
-    trace::tx_begin(ctx.trace_);
     const bool durable = u_.durable();
     // max_hw_attempts == 0 disables the hardware path outright (the crash
     // harness uses it to force the software commit path deterministically).
-    if (cfg_.max_hw_attempts == 0 || ctx.cm_.start_in_software()) {
+    if (cfg_.max_hw_attempts == 0 || ctx.cm.start_in_software()) {
       run_software(ctx, body);
       return;
     }
-    for (;;) {
-      ctx.stats.count_attempt(ExecPath::kHtm);
-      trace::attempt(ctx.trace_, ExecPath::kHtm);
-      const bool poison = injector_.fire(ctx.rng_);
-      bool wrote = false;
-      if (durable) ctx.hw_redo_.clear();  // aborted attempts leave entries behind
-      TmWord seq_held = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-        const TmWord s0 = t.load(seq_);  // subscribe to the global sequence lock
-        if ((s0 & 1) != 0) t.abort_explicit();
-        if (poison) t.poison();
-        HwHandle h{t, wrote, durable ? &ctx.hw_redo_ : nullptr};
-        body(h);
-        // Durable writers come out of _xend still HOLDING the sequence lock
-        // (odd): the values are in memory, but every concurrent reader —
-        // hardware txns subscribe to seq_, software revalidates against it —
-        // is fenced out until the post-_xend persist releases it. The
-        // non-durable commit bump releases immediately (s0 + 2).
-        if (wrote) t.store(seq_, durable ? s0 + 1 : s0 + 2);
-        seq_held = s0;
-      });
-      if (out.ok()) {
-        if (durable && wrote) {
-          PersistentDomain& pd = u_.pmem();
-          const std::uint64_t t0 = rdtsc();
-          const std::uint64_t txid = pd.durable_log(ctx.hw_redo_, pmem::kPathNorecHw);
-          const std::uint64_t t1 = rdtsc();
-          trace::durable_phase(ctx.trace_, trace::EventKind::kDurLog, t1 - t0);
-          pd.durable_mark(txid, pmem::kPathNorecHw);
-          const std::uint64_t t2 = rdtsc();
-          trace::durable_phase(ctx.trace_, trace::EventKind::kDurMark, t2 - t1);
-          pd.durable_apply(ctx.hw_redo_, pmem::kPathNorecHw);
-          trace::durable_phase(ctx.trace_, trace::EventKind::kDurApply, rdtsc() - t2);
+    bool wrote = false;
+    TmWord seq_held = 0;
+    const bool committed = detail::hardware_attempts(
+        ctx, u_.htm(), injector_, ExecPath::kHtm,
+        [&] {
+          wrote = false;
+          if (durable) ctx.hw_redo_.clear();  // aborted attempts leave entries behind
+          return true;
+        },
+        [&](typename H::Tx& t) {
+          const TmWord s0 = t.load(seq_);  // subscribe to the global sequence lock
+          if ((s0 & 1) != 0) t.abort_explicit();
+          HwHandle h{t, wrote, durable ? &ctx.hw_redo_ : nullptr};
+          body(h);
+          // Durable writers come out of _xend still HOLDING the sequence lock
+          // (odd): the values are in memory, but every concurrent reader —
+          // hardware txns subscribe to seq_, software revalidates against it —
+          // is fenced out until the post-_xend persist releases it. The
+          // non-durable commit bump releases immediately (s0 + 2).
+          if (wrote) t.store(seq_, durable ? s0 + 1 : s0 + 2);
+          seq_held = s0;
+        },
+        [&] {
+          if (!durable || !wrote) return;
+          u_.pmem().persist(ctx.hw_redo_, pmem::kPathNorecHw, ctx.ring, [] {});
           seq_.word.store(seq_held + 2, std::memory_order_release);
-        }
-        ctx.stats.count_commit(ExecPath::kHtm);
-        trace::commit(ctx.trace_, ExecPath::kHtm);
-        ctx.cm_.on_hardware_commit();
-        return;
-      }
-      ctx.stats.count_abort(to_abort_cause(out.status));
-      trace::abort(ctx.trace_, to_abort_cause(out.status));
-      if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-      ctx.cm_.backoff_hardware();
-    }
-    trace::escalate(ctx.trace_, ExecPath::kStm);
+        });
+    if (committed) return;
+    trace::escalate(ctx.ring, ExecPath::kStm);
     run_software(ctx, body);
   }
 
+  /// NOrec keeps no version clock, so its software aborts leave the clock
+  /// alone (null clock to the loop).
   template <class Body>
   void run_software(ThreadCtx& ctx, Body& body) {
-    ctx.cm_.begin_software();
-    for (;;) {
-      ctx.stats.count_attempt(ExecPath::kStm);
-      trace::attempt(ctx.trace_, ExecPath::kStm);
+    detail::software_attempts(ctx, nullptr, ExecPath::kStm, [&](ExecPath&) {
       ctx.ws_.clear();
       ctx.read_log_.clear();
       TmWord snapshot = wait_quiescent();
-      try {
-        SwHandle h{*this, ctx, snapshot};
-        body(h);
-        if (!ctx.ws_.empty()) {
-          for (;;) {  // acquire the sequence lock at our validated snapshot
-            TmWord expected = snapshot;
-            if (seq_.word.compare_exchange_strong(expected, snapshot + 1,
-                                                  std::memory_order_acq_rel)) {
-              break;
-            }
-            snapshot = revalidate(ctx);
+      SwHandle h{*this, ctx, snapshot};
+      body(h);
+      if (!ctx.ws_.empty()) {
+        for (;;) {  // acquire the sequence lock at our validated snapshot
+          TmWord expected = snapshot;
+          if (seq_.word.compare_exchange_strong(expected, snapshot + 1,
+                                                std::memory_order_acq_rel)) {
+            break;
           }
-          if (u_.durable()) {
-            // Sequence lock held (odd) across the whole persist: log + mark
-            // before values become visible, apply before release — readers
-            // never consume a value that is not yet durably marked.
-            PersistentDomain& pd = u_.pmem();
-            const std::uint64_t t0 = rdtsc();
-            const std::uint64_t txid =
-                pd.durable_log(ctx.ws_.entries(), pmem::kPathNorecSw);
-            const std::uint64_t t1 = rdtsc();
-            trace::durable_phase(ctx.trace_, trace::EventKind::kDurLog, t1 - t0);
-            pd.durable_mark(txid, pmem::kPathNorecSw);
-            trace::durable_phase(ctx.trace_, trace::EventKind::kDurMark, rdtsc() - t1);
-            u_.htm().nontx_publish(ctx.ws_.entries());
-            const std::uint64_t t2 = rdtsc();
-            pd.durable_apply(ctx.ws_.entries(), pmem::kPathNorecSw);
-            trace::durable_phase(ctx.trace_, trace::EventKind::kDurApply, rdtsc() - t2);
-          } else {
-            u_.htm().nontx_publish(ctx.ws_.entries());
-          }
-          seq_.word.store(snapshot + 2, std::memory_order_release);
+          snapshot = revalidate(ctx);
         }
-      } catch (const detail::StmAbort& a) {
-        ctx.stats.count_abort(a.cause);
-        trace::abort(ctx.trace_, a.cause);
-        ctx.cm_.backoff_software();
-        continue;
+        // Sequence lock held (odd) across the whole write-back: in durable
+        // mode log + mark before values become visible, apply before
+        // release — readers never consume a value not yet durably marked.
+        u_.publish_writes(ctx.ws_.entries(), pmem::kPathNorecSw, ctx.ring);
+        seq_.word.store(snapshot + 2, std::memory_order_release);
       }
-      ctx.stats.count_commit(ExecPath::kStm);
-      trace::commit(ctx.trace_, ExecPath::kStm);
-      ctx.cm_.on_software_commit();
-      return;
-    }
+      return ExecPath::kStm;
+    });
   }
 
   TmWord wait_quiescent() {
@@ -272,25 +217,15 @@ class PhasedTm {
     unsigned capacity_retries = 2;
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(PhasedTm& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{0, tm.cfg_.max_hw_attempts,
-                                        tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
+        : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{
+                                            0, tm.cfg_.max_hw_attempts,
+                                            tm.cfg_.capacity_retries}) {}
 
    private:
     friend class PhasedTm;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
     ReadSet rs_;
     WriteSet ws_;
     std::vector<std::uint32_t> lock_scratch_;
@@ -301,7 +236,7 @@ class PhasedTm {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    detail::transaction(ctx, [&] { run(ctx, body); });
   }
 
   /// Exposed for tests: number of transactions currently in software mode.
@@ -314,38 +249,24 @@ class PhasedTm {
     // hardware handle captures no redo, so its commits could not be logged.
     // (HybridTm's fast path shows what a durable hardware phase costs; the
     // phased design's whole point is zero instrumentation, so it opts out.)
-    trace::tx_begin(ctx.trace_);
-    if (!u_.durable() && cfg_.max_hw_attempts > 0 && !ctx.cm_.start_in_software()) {
-      for (;;) {
-        if (phase_.word.load(std::memory_order_acquire) != 0) break;  // SW phase active
-        ctx.stats.count_attempt(ExecPath::kHtm);
-        trace::attempt(ctx.trace_, ExecPath::kHtm);
-        const bool poison = injector_.fire(ctx.rng_);
-        const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-          if (t.load(phase_) != 0) t.abort_explicit();  // subscribe to the phase word
-          if (poison) t.poison();
-          detail::HwPlainHandle<typename H::Tx> h{t};
-          body(h);
-        });
-        if (out.ok()) {
-          ctx.stats.count_commit(ExecPath::kHtm);
-          trace::commit(ctx.trace_, ExecPath::kHtm);
-          ctx.cm_.on_hardware_commit();
-          return;
-        }
-        ctx.stats.count_abort(to_abort_cause(out.status));
-        trace::abort(ctx.trace_, to_abort_cause(out.status));
-        if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-        ctx.cm_.backoff_hardware();
-      }
+    if (!u_.durable() && cfg_.max_hw_attempts > 0 && !ctx.cm.start_in_software() &&
+        detail::hardware_attempts(
+            ctx, u_.htm(), injector_, ExecPath::kHtm,
+            [&] { return phase_.word.load(std::memory_order_acquire) == 0; },  // HW phase?
+            [&](typename H::Tx& t) {
+              if (t.load(phase_) != 0) t.abort_explicit();  // subscribe to the phase word
+              detail::HwPlainHandle<typename H::Tx> h{t};
+              body(h);
+            },
+            detail::kNoCommitWork)) {
+      return;
     }
     // Software phase: registering flips (or keeps) the phase word nonzero,
     // which aborts every in-flight hardware transaction and diverts new ones
     // here — the whole system pays STM until the count drains back to zero.
-    trace::escalate(ctx.trace_, ExecPath::kStm);
+    trace::escalate(ctx.ring, ExecPath::kStm);
     phase_.word.fetch_add(1, std::memory_order_acq_rel);
-    detail::tl2_run(u_, ctx.rs_, ctx.ws_, ctx.lock_scratch_, ctx.stats, ExecPath::kStm,
-                    ctx.cm_, ctx.trace_, body);
+    detail::tl2_run(u_, ctx, ctx.rs_, ctx.ws_, ctx.lock_scratch_, body);
     phase_.word.fetch_sub(1, std::memory_order_acq_rel);
   }
 

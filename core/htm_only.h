@@ -7,6 +7,14 @@
 // hardware attempts subscribe to the fallback lock so the two are mutually
 // atomic on the simulated substrate.
 //
+// With a bounded `max_hw_attempts` the same protocol is the TATAS
+// lock-elision baseline (bench series "TATAS-Elide": 8 attempts, 2
+// capacity retries): one global test-and-test-and-set lock protecting
+// every transaction, elided by hardware. It has no STM, no stripe metadata
+// and no concurrency in the fallback, so its throughput isolates what the
+// ContentionManager's retry decisions are worth before any TM machinery is
+// added.
+//
 // HtmOnly is NOT durable-capable: with zero instrumentation there is
 // nowhere to capture a redo log, so it ignores TmUniverse durability mode
 // (the durable scenarios exclude it). The durable hardware-commit designs
@@ -14,86 +22,26 @@
 
 #include <cstdint>
 
-#include "core/stats.h"
+#include "core/attempt.h"
 #include "core/universe.h"
 
 namespace rhtm {
-
-namespace detail {
-
-/// Seqlock used as the non-speculative fallback: odd = held.
-class FallbackLock {
- public:
-  [[nodiscard]] TmCell& cell() { return cell_; }
-
-  void acquire() {
-    for (;;) {
-      TmWord s = cell_.word.load(std::memory_order_acquire);
-      if ((s & 1) == 0 &&
-          cell_.word.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel)) {
-        return;
-      }
-      cpu_relax();
-    }
-  }
-  void release() { cell_.word.fetch_add(1, std::memory_order_acq_rel); }
-
-  /// Hardware-side subscription: read the lock word inside the transaction
-  /// and bail if it is held. Any later acquire/release changes the word, so
-  /// the simulated substrate's commit validation aborts the transaction.
-  template <class Tx>
-  void subscribe(Tx& t) {
-    if ((t.load(cell_) & 1) != 0) t.abort_explicit();
-  }
-
- private:
-  TmCell cell_;
-};
-
-/// Uninstrumented transactional accessors over a hardware transaction.
-template <class Tx>
-struct HwPlainHandle {
-  Tx& t;
-  TmWord load(const TmCell& c) { return t.load(c); }
-  void store(TmCell& c, TmWord v) { t.store(c, v); }
-};
-
-/// Plain accessors for code running under the fallback lock.
-template <class H>
-struct NonSpecHandle {
-  H& htm;
-  TmWord load(const TmCell& c) { return htm.nontx_load(c); }
-  void store(TmCell& c, TmWord v) { htm.nontx_store(c, v); }
-};
-
-}  // namespace detail
 
 template <class H>
 class HtmOnly {
  public:
   struct Config {
     std::uint32_t inject_abort_bp = 0;
+    unsigned max_hw_attempts = 0;   ///< hardware attempts before the lock; 0 = unbounded
     unsigned capacity_retries = 4;  ///< capacity aborts before the lock fallback
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(HtmOnly& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{0, 0, tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
-
-   private:
-    friend class HtmOnly;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
+        : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{
+                                            0, tm.cfg_.max_hw_attempts,
+                                            tm.cfg_.capacity_retries}) {}
   };
 
   explicit HtmOnly(TmUniverse<H>& u, Config cfg = {}) : u_(u), cfg_(cfg),
@@ -101,48 +49,26 @@ class HtmOnly {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    detail::transaction(ctx, [&] {
+      // Fixed policy gives up only on deterministic overflow (or an
+      // exhausted attempt budget); adaptive may also retire a hopeless
+      // conflict streak to the lock.
+      if (!ctx.cm.start_in_software() &&
+          detail::hardware_attempts(
+              ctx, u_.htm(), injector_, ExecPath::kHtm, detail::kAlwaysReady,
+              [&](typename H::Tx& t) {
+                fallback_.subscribe(t);
+                detail::HwPlainHandle<typename H::Tx> h{t};
+                body(h);
+              },
+              detail::kNoCommitWork)) {
+        return;
+      }
+      detail::run_under_lock(ctx, fallback_, u_.htm(), body);
+    });
   }
 
  private:
-  template <class Body>
-  void run(ThreadCtx& ctx, Body& body) {
-    trace::tx_begin(ctx.trace_);
-    if (!ctx.cm_.start_in_software()) {
-      for (;;) {
-        ctx.stats.count_attempt(ExecPath::kHtm);
-        trace::attempt(ctx.trace_, ExecPath::kHtm);
-        const bool poison = injector_.fire(ctx.rng_);
-        const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-          fallback_.subscribe(t);
-          if (poison) t.poison();
-          detail::HwPlainHandle<typename H::Tx> h{t};
-          body(h);
-        });
-        if (out.ok()) {
-          ctx.stats.count_commit(ExecPath::kHtm);
-          trace::commit(ctx.trace_, ExecPath::kHtm);
-          ctx.cm_.on_hardware_commit();
-          return;
-        }
-        ctx.stats.count_abort(to_abort_cause(out.status));
-        trace::abort(ctx.trace_, to_abort_cause(out.status));
-        // Fixed policy gives up only on deterministic overflow; adaptive may
-        // also retire a hopeless conflict streak to the lock.
-        if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-        ctx.cm_.backoff_hardware();
-      }
-    }
-    trace::fallback_lock(ctx.trace_);
-    fallback_.acquire();
-    detail::NonSpecHandle<H> h{u_.htm()};
-    body(h);
-    fallback_.release();
-    ctx.stats.count_commit(ExecPath::kHtm);
-    trace::commit(ctx.trace_, ExecPath::kHtm);
-    ctx.cm_.on_software_commit();
-  }
-
   TmUniverse<H>& u_;
   Config cfg_;
   AbortInjector injector_;

@@ -63,6 +63,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #if defined(_WIN32)
@@ -250,11 +251,7 @@ class PersistentDomain {
   template <class Entries>
   std::uint64_t durable_log(const Entries& entries, const char* path) {
     pmem::kill_point(path, "before_log");
-    std::size_t n = 0;
-    for (const auto& e : entries) {
-      (void)e;
-      ++n;
-    }
+    const std::size_t n = std::size(entries);
     const std::uint64_t txid =
         header().next_txid.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t* rec = reserve_and_lock(2 + 2 * n);
@@ -296,11 +293,7 @@ class PersistentDomain {
   /// the marked record.
   template <class Entries>
   void durable_apply(const Entries& entries, const char* path) {
-    std::size_t n = 0;
-    for (const auto& e : entries) {
-      (void)e;
-      ++n;
-    }
+    const std::size_t n = std::size(entries);
     std::size_t applied = 0;
     for (const auto& e : entries) {
       if (applied == n / 2) pmem::kill_point(path, "mid_apply");
@@ -310,6 +303,29 @@ class PersistentDomain {
     }
     psync();
     pmem::kill_point(path, "after_apply");
+  }
+
+  /// The durable commit step every durable path runs: log, mark (the
+  /// durability point), `publish()` — the path's in-memory publication,
+  /// empty where a hardware commit already published at _xend — then
+  /// apply, each phase's cycles traced on `ring`. The caller holds its
+  /// conflict locks (stripe locks, locked stamps, the NOrec sequence lock)
+  /// across the whole step, so marker order is serialization order and no
+  /// reader sees a value before it is durably marked; it releases them
+  /// after.
+  template <class Entries, class Publish>
+  void persist(const Entries& entries, const char* path, trace::TraceRing* ring,
+               Publish&& publish) {
+    const std::uint64_t t0 = rdtsc();
+    const std::uint64_t txid = durable_log(entries, path);
+    const std::uint64_t t1 = rdtsc();
+    trace::durable_phase(ring, trace::EventKind::kDurLog, t1 - t0);
+    durable_mark(txid, path);
+    trace::durable_phase(ring, trace::EventKind::kDurMark, rdtsc() - t1);
+    publish();
+    const std::uint64_t t2 = rdtsc();
+    durable_apply(entries, path);
+    trace::durable_phase(ring, trace::EventKind::kDurApply, rdtsc() - t2);
   }
 
   // --------------------------------------------------------------- image --

@@ -35,7 +35,8 @@
 // policy that is exactly the paper's `slow_retry_percent` coin; kAdaptive
 // replaces the coin with abort-density-derived escalation thresholds and a
 // software mode that skips doomed hardware attempts and re-probes
-// periodically; kAggressive holds on to hardware.
+// periodically. The attempt loops themselves are core/attempt.h's; this
+// file holds RH1's access handles and its commits.
 
 #include <cstdint>
 #include <utility>
@@ -58,27 +59,15 @@ class HybridTm {
     unsigned capacity_retries = 2;      ///< fast-path capacity aborts before fallback
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(HybridTm& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{tm.cfg_.slow_retry_percent, 0,
-                                        tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
-    /// The per-thread retry/escalation policy engine (tests introspect it).
-    [[nodiscard]] ContentionManager& cm() { return cm_; }
+        : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{
+                                            tm.cfg_.slow_retry_percent, 0,
+                                            tm.cfg_.capacity_retries}) {}
 
    private:
     friend class HybridTm;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
     ReadSet rs_;
     WriteSet ws_;
     StripeSet fast_written_;  ///< distinct stripes the fast path stamps
@@ -92,7 +81,7 @@ class HybridTm {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    detail::transaction(ctx, [&] { run(ctx, body); });
   }
 
  private:
@@ -131,57 +120,44 @@ class HybridTm {
 
   template <class Body>
   void run(ThreadCtx& ctx, Body& body) {
-    trace::tx_begin(ctx.trace_);
     if (cfg_.force_slow_path || cfg_.force_rh2) {
       run_slow(ctx, body, cfg_.force_rh2);
       return;
     }
-    if (ctx.cm_.start_in_software()) {
+    if (ctx.cm.start_in_software()) {
       run_slow(ctx, body, false);  // adaptive software mode: skip doomed hardware
       return;
     }
-    for (;;) {
-      ctx.stats.count_attempt(ExecPath::kRh1Fast);
-      trace::attempt(ctx.trace_, ExecPath::kRh1Fast);
-      const bool poison = injector_.fire(ctx.rng_);
-      const bool durable = u_.durable();
-      ctx.fast_written_.clear();
-      if (durable) ctx.fast_redo_.clear();  // aborted attempts leave entries behind
-      TmWord fast_wv = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-        if (poison) t.poison();
-        FastHandle h{t, u_.stripes(), ctx.fast_written_,
-                     durable ? &ctx.fast_redo_ : nullptr};
-        body(h);
-        fast_commit_stamp(t, ctx.fast_written_, &fast_wv);
-      });
-      if (out.ok()) {
-        if (!ctx.fast_written_.empty()) u_.clock().note_hw_commit();
-        if (durable && !ctx.fast_written_.empty()) {
-          durable_publish(ctx.fast_redo_, ctx.fast_written_.items(), fast_wv,
-                          pmem::kPathRh1Fast, ctx.trace_);
-        }
-        ctx.stats.count_commit(ExecPath::kRh1Fast);
-        trace::commit(ctx.trace_, ExecPath::kRh1Fast);
-        ctx.cm_.on_hardware_commit();
-        return;
-      }
-      ctx.stats.count_abort(to_abort_cause(out.status));
-      trace::abort(ctx.trace_, to_abort_cause(out.status));
-      if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) {
-        trace::escalate(ctx.trace_, ExecPath::kRh1Slow);
-        run_slow(ctx, body, false);
-        return;
-      }
-      ctx.cm_.backoff_hardware();
-    }
+    const bool durable = u_.durable();
+    TmWord fast_wv = 0;
+    const bool committed = detail::hardware_attempts(
+        ctx, u_.htm(), injector_, ExecPath::kRh1Fast,
+        [&] {
+          ctx.fast_written_.clear();
+          if (durable) ctx.fast_redo_.clear();  // aborted attempts leave entries behind
+          return true;
+        },
+        [&](typename H::Tx& t) {
+          FastHandle h{t, u_.stripes(), ctx.fast_written_,
+                       durable ? &ctx.fast_redo_ : nullptr};
+          body(h);
+          fast_commit_stamp(t, ctx.fast_written_, &fast_wv);
+        },
+        [&] {
+          if (ctx.fast_written_.empty()) return;
+          hw_committed(ctx, ctx.fast_redo_, ctx.fast_written_.items(), fast_wv,
+                       pmem::kPathRh1Fast);
+        });
+    if (committed) return;
+    trace::escalate(ctx.ring, ExecPath::kRh1Slow);
+    run_slow(ctx, body, false);
   }
 
   /// Commit-point publication for the fast path: fresh clock, one stamp
   /// per distinct written stripe, and — only while RH2 readers exist —
   /// mask checks. In durable mode the stamps carry the lock bit: the
   /// transaction's in-memory effects become visible at _xend, but every
-  /// written stripe stays locked until durable_publish() has logged,
+  /// written stripe stays locked until hw_committed() has logged,
   /// marked and applied them — so no reader consumes state that is not
   /// yet on the durable medium. `*wv_out` receives the commit version the
   /// post-_xend unlock releases to.
@@ -194,9 +170,7 @@ class HybridTm {
     }
     const TmWord wv = t.load(u_.clock().cell()) + 1;
     if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
-    const TmWord stamp = u_.durable()
-                             ? (StripeTable::make_word(wv) | StripeTable::kLockBit)
-                             : StripeTable::make_word(wv);
+    const TmWord stamp = StripeTable::commit_stamp(wv, u_.durable());
     for (const std::uint32_t s : written.items()) {
       t.store(u_.stripes().word(s), stamp);
     }
@@ -224,53 +198,34 @@ class HybridTm {
 
   template <class Body>
   void run_slow(ThreadCtx& ctx, Body& body, bool rh2) {
-    ctx.cm_.begin_software();
-    for (;;) {
-      const ExecPath path = rh2 ? ExecPath::kRh2Slow : ExecPath::kRh1Slow;
-      ctx.stats.count_attempt(path);
-      trace::attempt(ctx.trace_, path);
+    const ExecPath first = rh2 ? ExecPath::kRh2Slow : ExecPath::kRh1Slow;
+    detail::software_attempts(ctx, &u_.clock(), first, [&](ExecPath& path) {
       ctx.rs_.clear();
       ctx.ws_.clear();
       const TmWord rv = u_.clock().read();
-      try {
-        if (!rh2) {
-          detail::Tl2Handle<H> h{u_, ctx.rs_, ctx.ws_, rv};
-          body(h);
-          if (!rh1_reduced_commit(ctx, rv)) {
-            rh2 = true;  // commit exceeds the hardware budget: go visible
-            trace::escalate(ctx.trace_, ExecPath::kRh2Slow);
-            continue;
-          }
-          ctx.stats.count_commit(ExecPath::kRh1Slow);
-          trace::commit(ctx.trace_, ExecPath::kRh1Slow);
-        } else {
-          rh2_active_.word.fetch_add(1, std::memory_order_acq_rel);
-          ctx.masks_.clear();
-          try {
-            Rh2Handle h{*this, ctx, rv};
-            body(h);
-            const ExecPath commit_path = rh2_commit(ctx, rv);
-            unpublish_all(ctx);
-            rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
-            ctx.stats.count_commit(commit_path);
-            trace::commit(ctx.trace_, commit_path);
-          } catch (...) {
-            unpublish_all(ctx);
-            rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
-            throw;
-          }
-        }
-      } catch (const detail::StmAbort& a) {
-        ctx.stats.count_abort(a.cause);
-        trace::abort(ctx.trace_, a.cause);
-        u_.clock().on_abort();
-        if (u_.clock().cached()) trace::clock_publish(ctx.trace_);
-        ctx.cm_.backoff_software();
-        continue;
+      if (path == ExecPath::kRh1Slow) {
+        detail::Tl2Handle<H> h{u_, ctx.rs_, ctx.ws_, rv};
+        body(h);
+        if (rh1_reduced_commit(ctx, rv)) return ExecPath::kRh1Slow;
+        path = ExecPath::kRh2Slow;  // commit exceeds the hardware budget: go visible
+        trace::escalate(ctx.ring, ExecPath::kRh2Slow);
+        return detail::kRetryOnNewPath;
       }
-      ctx.cm_.on_software_commit();
-      return;
-    }
+      rh2_active_.word.fetch_add(1, std::memory_order_acq_rel);
+      ctx.masks_.clear();
+      try {
+        Rh2Handle h{*this, ctx, rv};
+        body(h);
+        const ExecPath commit_path = rh2_commit(ctx, rv);
+        unpublish_all(ctx);
+        rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
+        return commit_path;
+      } catch (...) {
+        unpublish_all(ctx);
+        rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
+        throw;
+      }
+    });
   }
 
   /// The reduced hardware commit (§2.1): metadata-only read validation +
@@ -290,7 +245,7 @@ class HybridTm {
     unsigned tries = 0;
     for (;;) {
       TmWord wv_out = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
+      const HtmOutcome out = u_.htm().execute(ctx.tx, [&](typename H::Tx& t) {
         const auto& read_stripes = ctx.rs_.stripes();  // distinct by construction
         for (std::size_t i = 0; i < read_stripes.size(); ++i) {
           // Hide the next validation load's miss behind this one's check:
@@ -306,12 +261,10 @@ class HybridTm {
         const TmWord wv = t.load(u_.clock().cell()) + 1;
         if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
         // Durable: stamp LOCKED inside the hardware transaction, so the
-        // values published at _xend stay unreadable until durable_publish()
+        // values published at _xend stay unreadable until hw_committed()
         // has persisted them and unlocked to wv (fine-grained fast-path
         // locking — the reduced commit stays lock-free in non-durable mode).
-        const TmWord stamped = durable
-                                   ? (StripeTable::make_word(wv) | StripeTable::kLockBit)
-                                   : StripeTable::make_word(wv);
+        const TmWord stamped = StripeTable::commit_stamp(wv, durable);
         const auto& write_stripes = ctx.ws_.write_stripes();  // one stamp per stripe
         for (std::size_t i = 0; i < write_stripes.size(); ++i) {
           if (i + 1 < write_stripes.size()) {
@@ -328,25 +281,20 @@ class HybridTm {
         wv_out = wv;
       });
       if (out.ok()) {
-        u_.clock().note_hw_commit();
-        if (durable) {
-          durable_publish(ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out,
-                          pmem::kPathRh1, ctx.trace_);
-        }
+        hw_committed(ctx, ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out, pmem::kPathRh1);
         return true;
       }
       if (out.status == HtmStatus::kCapacity) {
         // The reduced commit itself overflowed hardware; the transaction
         // re-executes with visible reads (RH2), so this is a real abort —
         // count it, or capacity escalation is invisible in every report.
-        ctx.stats.count_abort(AbortCause::kHtmCapacity);
-        trace::abort(ctx.trace_, AbortCause::kHtmCapacity);
+        detail::record_abort(ctx, AbortCause::kHtmCapacity);
         return false;
       }
       if (out.status == HtmStatus::kExplicit || ++tries >= cfg_.commit_retries) {
         throw detail::StmAbort{AbortCause::kStmValidation};
       }
-      ctx.cm_.backoff_commit(tries);
+      ctx.cm.backoff_commit(tries);
     }
   }
 
@@ -361,20 +309,19 @@ class HybridTm {
     unsigned tries = 0;
     for (;;) {
       TmWord wv_out = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
+      const HtmOutcome out = u_.htm().execute(ctx.tx, [&](typename H::Tx& t) {
         const TmWord wv = t.load(u_.clock().cell()) + 1;
         if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
         // Same durable discipline as the reduced commit: locked stamps in
         // hardware, persist + unlock after _xend.
-        const TmWord stamped = durable
-                                   ? (StripeTable::make_word(wv) | StripeTable::kLockBit)
-                                   : StripeTable::make_word(wv);
+        const TmWord stamped = StripeTable::commit_stamp(wv, durable);
         for (const std::uint32_t s : ctx.ws_.write_stripes()) {  // one check+stamp each
           const TmWord w = t.load(st.word(s));
           if (StripeTable::is_locked(w) || StripeTable::version_of(w) > rv) {
             t.abort_explicit();
           }
-          if (t.load(st.read_mask(s)) > self_mask(ctx, s)) {
+          // publish_once leaves at most one own mask per stripe.
+          if (t.load(st.read_mask(s)) > (ctx.masks_.contains(s) ? 1u : 0u)) {
             t.abort_explicit();  // a foreign visible reader holds this stripe
           }
           t.store(st.word(s), stamped);
@@ -385,11 +332,7 @@ class HybridTm {
         wv_out = wv;
       });
       if (out.ok()) {
-        u_.clock().note_hw_commit();
-        if (durable) {
-          durable_publish(ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out,
-                          pmem::kPathRh2, ctx.trace_);
-        }
+        hw_committed(ctx, ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out, pmem::kPathRh2);
         return ExecPath::kRh2Slow;
       }
       if (out.status == HtmStatus::kExplicit) throw detail::StmAbort{AbortCause::kStmValidation};
@@ -398,40 +341,33 @@ class HybridTm {
           // Same observability rule as the reduced commit: the hardware
           // commit overflowed, and escalation must be visible in reports
           // even though the slow-slow commit completes this same attempt.
-          ctx.stats.count_abort(AbortCause::kHtmCapacity);
-          trace::abort(ctx.trace_, AbortCause::kHtmCapacity);
+          detail::record_abort(ctx, AbortCause::kHtmCapacity);
         }
-        trace::escalate(ctx.trace_, ExecPath::kRh2SlowSlow);
+        trace::escalate(ctx.ring, ExecPath::kRh2SlowSlow);
         detail::tl2_software_commit(u_, ctx.rs_, ctx.ws_, rv, ctx.lock_scratch_, &ctx.masks_,
-                                    ctx.trace_);
+                                    ctx.ring);
         return ExecPath::kRh2SlowSlow;
       }
-      ctx.cm_.backoff_commit(tries);
+      ctx.cm.backoff_commit(tries);
     }
   }
 
-  /// Post-_xend persist sequence shared by the durable hardware commits
-  /// (fast, reduced, RH2). The transaction already published its values and
+  /// Post-_xend bookkeeping shared by RH1's hardware commits (fast,
+  /// reduced, RH2). Durable: the transaction published its values and
   /// LOCKED stripe stamps atomically at _xend; while the locks are held, no
   /// reader — the durable fast path checks the lock bit, software reads
-  /// validate it — can consume the new state. Log, mark (the durability
-  /// point), apply to the image, then release the locks to the commit
-  /// version. Marker order therefore respects stripe-conflict serialization.
-  /// A crash anywhere in this sequence abandons only in-memory locks (they
-  /// die with the process); recovery replays or discards from the log.
+  /// validate it — can consume the new state. The persist step runs log,
+  /// mark (the durability point) and apply, then the locks release to the
+  /// commit version, so marker order respects stripe-conflict
+  /// serialization. A crash anywhere in this sequence abandons only
+  /// in-memory locks (they die with the process); recovery replays or
+  /// discards from the log.
   template <class Entries, class Stripes>
-  void durable_publish(const Entries& entries, const Stripes& stripes, TmWord wv,
-                       const char* path, trace::TraceRing* ring) {
-    PersistentDomain& pd = u_.pmem();
-    const std::uint64_t t0 = rdtsc();
-    const std::uint64_t txid = pd.durable_log(entries, path);
-    const std::uint64_t t1 = rdtsc();
-    trace::durable_phase(ring, trace::EventKind::kDurLog, t1 - t0);
-    pd.durable_mark(txid, path);
-    const std::uint64_t t2 = rdtsc();
-    trace::durable_phase(ring, trace::EventKind::kDurMark, t2 - t1);
-    pd.durable_apply(entries, path);
-    trace::durable_phase(ring, trace::EventKind::kDurApply, rdtsc() - t2);
+  void hw_committed(ThreadCtx& ctx, const Entries& entries, const Stripes& stripes, TmWord wv,
+                    const char* path) {
+    u_.clock().note_hw_commit();
+    if (!u_.durable()) return;
+    u_.pmem().persist(entries, path, ctx.ring, [] {});
     for (const std::uint32_t s : stripes) u_.stripes().unlock_to(s, wv);
   }
 
@@ -442,12 +378,6 @@ class HybridTm {
   void unpublish_all(ThreadCtx& ctx) {
     for (const std::uint32_t s : ctx.masks_.items()) u_.stripes().unpublish_read(s);
     ctx.masks_.clear();
-  }
-
-  /// 1 when this transaction published a read mask on `stripe`, else 0.
-  /// O(1): the mask set is an exact stripe set, not a scanned list.
-  [[nodiscard]] TmWord self_mask(const ThreadCtx& ctx, std::uint32_t stripe) const {
-    return ctx.masks_.contains(stripe) ? 1 : 0;
   }
 
   TmUniverse<H>& u_;

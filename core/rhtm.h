@@ -14,6 +14,7 @@
 
 #include "core/cell.h"
 #include "core/clock.h"
+#include "core/attempt.h"
 #include "core/contention.h"
 #include "core/ext_hybrids.h"
 #include "core/htm_emul.h"
@@ -26,7 +27,6 @@
 #include "core/standard_hytm.h"
 #include "core/stats.h"
 #include "core/stripe.h"
-#include "core/tatas.h"
 #include "core/timeseries.h"
 #include "core/tl2.h"
 #include "core/topology.h"

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/htm_only.h"
 #include "core/tl2.h"
 #include "stm/stripe_set.h"
 
@@ -30,26 +29,16 @@ class StandardHytm {
     unsigned capacity_retries = 2;  ///< capacity aborts before giving up on HW
   };
 
-  class ThreadCtx {
+  class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(StandardHytm& tm)
-        : tx_(tm.u_.htm()),
-          rng_(detail::next_ctx_seed()),
-          cm_(tm.u_.config().cm,
-              ContentionManager::Limits{
-                  0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
-                  tm.cfg_.capacity_retries}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
+        : detail::HwTxContext<H>(
+              tm.u_, ContentionManager::Limits{
+                         0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
+                         tm.cfg_.capacity_retries}) {}
 
    private:
     friend class StandardHytm;
-    typename H::Tx tx_;
-    Xoshiro256 rng_;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
     ReadSet rs_;
     WriteSet ws_;
     std::vector<std::uint32_t> lock_scratch_;
@@ -61,7 +50,7 @@ class StandardHytm {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] { run(ctx, body); });
+    detail::transaction(ctx, [&] { run(ctx, body); });
   }
 
  private:
@@ -92,44 +81,34 @@ class StandardHytm {
     // its write-back); the instrumented hardware handle has no redo capture
     // and the baseline's contract is not worth complicating — the durable
     // hardware commit story is HybridTm's (core/rh1.h).
-    trace::tx_begin(ctx.trace_);
     if (!u_.durable() && (cfg_.hardware_only || cfg_.max_hw_attempts > 0) &&
-        !ctx.cm_.start_in_software()) {
-      for (;;) {
-        ctx.stats.count_attempt(ExecPath::kHtm);
-        trace::attempt(ctx.trace_, ExecPath::kHtm);
-        const bool poison = injector_.fire(ctx.rng_);
-        ctx.hw_written_.clear();
-        const HtmOutcome out = u_.htm().execute(ctx.tx_, [&](typename H::Tx& t) {
-          fallback_.subscribe(t);
-          if (poison) t.poison();
-          HwHandle h{t, u_.stripes(), ctx.hw_written_};
-          body(h);
-          publish_stamps(t, ctx.hw_written_);
-        });
-        if (out.ok()) {
-          if (!ctx.hw_written_.empty()) u_.clock().note_hw_commit();
-          ctx.stats.count_commit(ExecPath::kHtm);
-          trace::commit(ctx.trace_, ExecPath::kHtm);
-          ctx.cm_.on_hardware_commit();
-          return;
-        }
-        ctx.stats.count_abort(to_abort_cause(out.status));
-        trace::abort(ctx.trace_, to_abort_cause(out.status));
-        if (ctx.cm_.give_up_hardware(to_abort_cause(out.status), ctx.rng_)) break;
-        ctx.cm_.backoff_hardware();
-      }
+        !ctx.cm.start_in_software() &&
+        detail::hardware_attempts(
+            ctx, u_.htm(), injector_, ExecPath::kHtm,
+            [&] {
+              ctx.hw_written_.clear();
+              return true;
+            },
+            [&](typename H::Tx& t) {
+              fallback_.subscribe(t);
+              HwHandle h{t, u_.stripes(), ctx.hw_written_};
+              body(h);
+              publish_stamps(t, ctx.hw_written_);
+            },
+            [&] {
+              if (!ctx.hw_written_.empty()) u_.clock().note_hw_commit();
+            })) {
+      return;
     }
     if (!u_.durable() && cfg_.hardware_only) {
       // No STM fallback in hardware-only mode: capacity overflow (and, under
       // the adaptive policy, a hopeless conflict streak) takes the
       // non-speculative lock for liveness.
-      run_under_lock(ctx, body);
+      detail::run_under_lock(ctx, fallback_, u_.htm(), body);
       return;
     }
-    trace::escalate(ctx.trace_, ExecPath::kStm);
-    detail::tl2_run(u_, ctx.rs_, ctx.ws_, ctx.lock_scratch_, ctx.stats, ExecPath::kStm,
-                    ctx.cm_, ctx.trace_, body);
+    trace::escalate(ctx.ring, ExecPath::kStm);
+    detail::tl2_run(u_, ctx, ctx.rs_, ctx.ws_, ctx.lock_scratch_, body);
   }
 
   /// Commit-point stamping: re-read the clock inside the transaction so the
@@ -142,18 +121,6 @@ class StandardHytm {
     for (const std::uint32_t s : written.items()) {
       t.store(u_.stripes().word(s), StripeTable::make_word(wv));
     }
-  }
-
-  template <class Body>
-  void run_under_lock(ThreadCtx& ctx, Body& body) {
-    trace::fallback_lock(ctx.trace_);
-    fallback_.acquire();
-    detail::NonSpecHandle<H> h{u_.htm()};
-    body(h);
-    fallback_.release();
-    ctx.stats.count_commit(ExecPath::kHtm);
-    trace::commit(ctx.trace_, ExecPath::kHtm);
-    ctx.cm_.on_software_commit();
   }
 
   TmUniverse<H>& u_;

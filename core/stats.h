@@ -159,25 +159,10 @@ inline void cpu_relax() {
 #endif
 }
 
-// Retry backoff moved to core/contention.h (ContentionManager::backoff_*,
-// detail::exponential_spin); stats.h is pure counters + cpu_relax again.
-
 /// Distinct seed for each protocol ThreadCtx RNG (deterministic sequence).
 inline std::uint64_t next_ctx_seed() {
   static std::atomic<std::uint64_t> counter{0x2545f4914f6cdd1dull};
   return counter.fetch_add(0x9e3779b97f4a7c15ull, std::memory_order_relaxed);
-}
-
-/// Times a section into stats.tx_cycles when breakdown timing is enabled.
-template <class F>
-inline void timed_section(TxStats& stats, F&& f) {
-  if (!stats.timing) {
-    f();
-    return;
-  }
-  const std::uint64_t t0 = rdtsc();
-  f();
-  stats.tx_cycles += rdtsc() - t0;
 }
 
 }  // namespace detail

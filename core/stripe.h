@@ -147,6 +147,12 @@ class StripeTable {
   static constexpr TmWord version_of(TmWord w) { return w >> 1; }
   static constexpr bool is_locked(TmWord w) { return (w & kLockBit) != 0; }
   static constexpr TmWord make_word(TmWord version) { return version << 1; }
+  /// A hardware commit's stripe stamp. Durable commits stamp it locked:
+  /// the values published at _xend stay unreadable until the persist step
+  /// has run and unlock_to() releases them.
+  static constexpr TmWord commit_stamp(TmWord version, bool durable) {
+    return durable ? (make_word(version) | kLockBit) : make_word(version);
+  }
 
   /// Software commit locking (TL2 / slow-slow path). Callers acquire in
   /// ascending global-index order, which is (shard, local) order by

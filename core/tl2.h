@@ -5,13 +5,14 @@
 // use Tl2<H> both as the "TL2" series and as the calibration run whose
 // abort ratio is injected into the hardware-mode series. StandardHytm's
 // software fallback and PhasedTm's software phase reuse detail::tl2_run.
+// The retry loop itself is core/attempt.h's software_attempts.
 
 #include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "core/stats.h"
+#include "core/attempt.h"
 #include "core/universe.h"
 #include "stm/read_set.h"
 #include "stm/stripe_set.h"
@@ -20,11 +21,6 @@
 namespace rhtm {
 
 namespace detail {
-
-/// Thrown by software-path barriers/commits; caught by the retry loop.
-struct StmAbort {
-  AbortCause cause;
-};
 
 /// The post-validated software read (the TL2 read barrier's slow half,
 /// shared by the TL2 and RH2 handles): stripe word, data word, stripe word
@@ -130,64 +126,32 @@ inline void tl2_software_commit(TmUniverse<H>& u, ReadSet& rs, WriteSet& ws, TmW
     release_restore();
     throw StmAbort{AbortCause::kStmValidation};
   }
-  if (u.durable()) {
-    // Log-then-fence-then-apply, stripe locks held across the whole persist
-    // sequence: the commit marker lands in the redo log in stripe-lock
-    // serialization order, and no reader observes the new values (in memory
-    // or in the image) before they are durably marked. RH2's slow-slow
-    // escalation funnels through here too — same path, same kill points.
-    PersistentDomain& pd = u.pmem();
-    const std::uint64_t t0 = rdtsc();
-    const std::uint64_t txid = pd.durable_log(ws.entries(), pmem::kPathTl2);
-    const std::uint64_t t1 = rdtsc();
-    trace::durable_phase(ring, trace::EventKind::kDurLog, t1 - t0);
-    pd.durable_mark(txid, pmem::kPathTl2);
-    trace::durable_phase(ring, trace::EventKind::kDurMark, rdtsc() - t1);
-    u.htm().nontx_publish(ws.entries());  // one atomic batch, not N racy stores
-    const std::uint64_t t2 = rdtsc();
-    pd.durable_apply(ws.entries(), pmem::kPathTl2);
-    trace::durable_phase(ring, trace::EventKind::kDurApply, rdtsc() - t2);
-  } else {
-    u.htm().nontx_publish(ws.entries());  // one atomic batch, not N racy stores
-  }
+  // Stripe locks held across the whole write-back: in durable mode the
+  // commit marker lands in the redo log in stripe-lock serialization
+  // order, and no reader observes the new values (in memory or in the
+  // image) before they are durably marked. RH2's slow-slow escalation
+  // funnels through here too — same path, same kill points.
+  u.publish_writes(ws.entries(), pmem::kPathTl2, ring);
   for (const std::uint32_t s : locked) st.unlock_to(s, wv);
   u.clock().publish_home();  // cached-clock lazy propagation; no-op otherwise
 }
 
-/// Full TL2 transaction loop: retry until the body runs and commits. The
-/// caller's ContentionManager shapes the inter-retry backoff (for pure
-/// software paths only the backoff shape applies; escalation is a no-op).
-/// `ring` records the lifecycle when tracing is on; callers that escalate
-/// into this loop have already emitted their tx_begin, so the loop only
-/// emits attempt/abort/commit.
+/// Full TL2 transaction: software attempts until the body runs and
+/// commits. For pure software paths only the ContentionManager's backoff
+/// shape applies; escalation is a no-op. Callers that escalate into this
+/// loop have already emitted their tx_begin.
 template <class H, class Body>
-inline void tl2_run(TmUniverse<H>& u, ReadSet& rs, WriteSet& ws,
-                    std::vector<std::uint32_t>& lock_scratch, TxStats& stats, ExecPath path,
-                    ContentionManager& cm, trace::TraceRing* ring, Body& body) {
-  cm.begin_software();
-  for (;;) {
-    stats.count_attempt(path);
-    trace::attempt(ring, path);
+inline void tl2_run(TmUniverse<H>& u, TxContext& ctx, ReadSet& rs, WriteSet& ws,
+                    std::vector<std::uint32_t>& lock_scratch, Body& body) {
+  software_attempts(ctx, &u.clock(), ExecPath::kStm, [&](ExecPath&) {
     rs.clear();
     ws.clear();
     const TmWord rv = u.clock().read();
     Tl2Handle<H> h{u, rs, ws, rv};
-    try {
-      body(h);
-      tl2_software_commit(u, rs, ws, rv, lock_scratch, nullptr, ring);
-    } catch (const StmAbort& a) {
-      stats.count_abort(a.cause);
-      trace::abort(ring, a.cause);
-      u.clock().on_abort();
-      if (u.clock().cached()) trace::clock_publish(ring);
-      cm.backoff_software();
-      continue;
-    }
-    stats.count_commit(path);
-    trace::commit(ring, path);
-    cm.on_software_commit();
-    return;
-  }
+    body(h);
+    tl2_software_commit(u, rs, ws, rv, lock_scratch, nullptr, ctx.ring);
+    return ExecPath::kStm;
+  });
 }
 
 }  // namespace detail
@@ -197,19 +161,12 @@ class Tl2 {
  public:
   struct Config {};
 
-  class ThreadCtx {
+  class ThreadCtx : public detail::TxContext {
    public:
-    explicit ThreadCtx(Tl2& tm)
-        : cm_(tm.u_.config().cm, ContentionManager::Limits{}),
-          trace_(tm.u_.acquire_trace_ring()) {
-      cm_.set_trace(trace_);
-    }
-    TxStats stats;
+    explicit ThreadCtx(Tl2& tm) : detail::TxContext(tm.u_, ContentionManager::Limits{}) {}
 
    private:
     friend class Tl2;
-    ContentionManager cm_;
-    trace::TraceRing* trace_;
     ReadSet rs_;
     WriteSet ws_;
     std::vector<std::uint32_t> lock_scratch_;
@@ -219,10 +176,8 @@ class Tl2 {
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
-    detail::timed_section(ctx.stats, [&] {
-      trace::tx_begin(ctx.trace_);
-      detail::tl2_run(u_, ctx.rs_, ctx.ws_, ctx.lock_scratch_, ctx.stats, ExecPath::kStm,
-                      ctx.cm_, ctx.trace_, body);
+    detail::transaction(ctx, [&] {
+      detail::tl2_run(u_, ctx, ctx.rs_, ctx.ws_, ctx.lock_scratch_, body);
     });
   }
 

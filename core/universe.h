@@ -100,6 +100,19 @@ class TmUniverse {
   /// The persistent domain; only valid when durable().
   [[nodiscard]] PersistentDomain& pmem() { return *pmem_; }
 
+  /// A software commit's write-back: `entries` published as one atomic
+  /// batch, wrapped in the persist step when durable. The caller holds its
+  /// commit locks across the call.
+  template <class Entries>
+  void publish_writes(const Entries& entries, const char* path, trace::TraceRing* ring) {
+    const auto publish = [&] { htm_.nontx_publish(entries); };
+    if (durable()) {
+      pmem_->persist(entries, path, ring, publish);
+    } else {
+      publish();
+    }
+  }
+
   /// The NUMA geometry axis this universe was built with.
   [[nodiscard]] NumaMode numa() const { return cfg_.numa; }
   /// The resolved topology (config override or Topology::system()).

@@ -87,8 +87,7 @@ void fixed_attempt_budget() {
 
 /// Capacity escalation is deterministic under EVERY policy.
 void capacity_escalation_all_policies() {
-  for (const CmPolicy policy :
-       {CmPolicy::kFixed, CmPolicy::kAdaptive, CmPolicy::kAggressive}) {
+  for (const CmPolicy policy : {CmPolicy::kFixed, CmPolicy::kAdaptive}) {
     CmConfig cfg;
     cfg.policy = policy;
     cfg.adapt_min_attempts = 4;  // keep adaptive from escalating first
@@ -207,22 +206,6 @@ void adaptive_software_mode() {
   CHECK(!cm.start_in_software());
 }
 
-/// Aggressive: no coin (RNG untouched), gives up exactly at the ceiling.
-void aggressive_budget() {
-  CmConfig cfg;
-  cfg.policy = CmPolicy::kAggressive;
-  cfg.aggressive_attempts = 5;
-  ContentionManager cm(cfg, ContentionManager::Limits{100, 1, 100});
-  Xoshiro256 rng(23);
-  const std::uint64_t before = [&] { Xoshiro256 copy = rng; return copy.next_u64(); }();
-  CHECK(!cm.start_in_software());
-  for (unsigned i = 1; i < cfg.aggressive_attempts; ++i) {
-    CHECK(!cm.give_up_hardware(AbortCause::kHtmConflict, rng));
-  }
-  CHECK(cm.give_up_hardware(AbortCause::kHtmConflict, rng));
-  CHECK_EQ(rng.next_u64(), before);  // never drew the Mixed-N coin
-}
-
 /// Config sanitisation: a zero/inverted adaptive range is clamped sane.
 void config_clamping() {
   CmConfig cfg;
@@ -234,8 +217,7 @@ void config_clamping() {
 }
 
 void policy_names_round_trip() {
-  for (const CmPolicy p :
-       {CmPolicy::kFixed, CmPolicy::kAdaptive, CmPolicy::kAggressive}) {
+  for (const CmPolicy p : {CmPolicy::kFixed, CmPolicy::kAdaptive}) {
     CmPolicy parsed{};
     CHECK(parse_cm_policy(to_string(p), &parsed));
     CHECK_EQ(static_cast<int>(parsed), static_cast<int>(p));
@@ -257,7 +239,6 @@ int main() {
       TestCase{"seeded_determinism", rhtm::seeded_determinism},
       TestCase{"per_thread_independence", rhtm::per_thread_independence},
       TestCase{"adaptive_software_mode", rhtm::adaptive_software_mode},
-      TestCase{"aggressive_budget", rhtm::aggressive_budget},
       TestCase{"config_clamping", rhtm::config_clamping},
       TestCase{"policy_names_round_trip", rhtm::policy_names_round_trip},
   });
