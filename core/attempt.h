@@ -73,10 +73,9 @@ inline void record_commit(TxContext& ctx, ExecPath path) {
   trace::commit(ctx.ring, path);
 }
 
-/// hardware_attempts hooks for protocols with nothing to do before an
-/// attempt or after a hardware commit.
+/// Loop hooks for protocols with nothing to do at that point.
 inline constexpr auto kAlwaysReady = [] { return true; };
-inline constexpr auto kNoCommitWork = [] {};
+inline constexpr auto kNoop = [] {};
 
 /// The hardware-attempt loop. Per attempt: `ready()` runs outside the
 /// transaction (reset per-attempt capture; returning false gives up on
@@ -119,10 +118,10 @@ inline constexpr ExecPath kRetryOnNewPath = ExecPath::kCount;
 /// The software-attempt loop. `attempt(path)` runs one execution of the
 /// body on `path` and returns the tier that committed it (or
 /// kRetryOnNewPath after updating `path`); a StmAbort from it is counted,
-/// applied to `clock`'s abort rule (null for protocols that keep no version
-/// clock) and backed off before the retry.
-template <class Attempt>
-inline void software_attempts(TxContext& ctx, GlobalVersionClock* clock, ExecPath path,
+/// handed to `aborted()` (the clock's abort rule, for protocols with a
+/// version clock) and backed off before the retry.
+template <class Aborted, class Attempt>
+inline void software_attempts(TxContext& ctx, ExecPath path, Aborted&& aborted,
                               Attempt&& attempt) {
   ctx.cm.begin_software();
   for (;;) {
@@ -133,10 +132,7 @@ inline void software_attempts(TxContext& ctx, GlobalVersionClock* clock, ExecPat
       committed = attempt(path);
     } catch (const StmAbort& a) {
       record_abort(ctx, a.cause);
-      if (clock != nullptr) {
-        clock->on_abort();
-        if (clock->cached()) trace::clock_publish(ctx.ring);
-      }
+      aborted();
       ctx.cm.backoff_software();
       continue;
     }
@@ -152,11 +148,13 @@ inline void software_attempts(TxContext& ctx, GlobalVersionClock* clock, ExecPat
 /// storm) and attempt the RMW only when the lock reads free.
 class FallbackLock {
  public:
-  void acquire() {
+  template <class H>
+  void acquire(H& htm) {
     for (;;) {
       TmWord s = cell_.word.load(std::memory_order_acquire);
-      if ((s & 1) == 0 &&
-          cell_.word.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel)) {
+      if ((s & 1) == 0 && htm.nontx_atomic([&] {
+            return cell_.word.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel);
+          })) {
         return;
       }
       cpu_relax();
@@ -197,7 +195,7 @@ struct NonSpecHandle {
 template <class H, class Body>
 inline void run_under_lock(TxContext& ctx, FallbackLock& lock, H& htm, Body& body) {
   trace::fallback_lock(ctx.ring);
-  lock.acquire();
+  lock.acquire(htm);
   NonSpecHandle<H> h{htm};
   body(h);
   lock.release();

@@ -148,11 +148,10 @@ class HybridNorec {
     run_software(ctx, body);
   }
 
-  /// NOrec keeps no version clock, so its software aborts leave the clock
-  /// alone (null clock to the loop).
+  /// NOrec keeps no version clock: its software aborts leave the clock alone.
   template <class Body>
   void run_software(ThreadCtx& ctx, Body& body) {
-    detail::software_attempts(ctx, nullptr, ExecPath::kStm, [&](ExecPath&) {
+    detail::software_attempts(ctx, ExecPath::kStm, detail::kNoop, [&](ExecPath&) {
       ctx.ws_.clear();
       ctx.read_log_.clear();
       TmWord snapshot = wait_quiescent();
@@ -161,8 +160,10 @@ class HybridNorec {
       if (!ctx.ws_.empty()) {
         for (;;) {  // acquire the sequence lock at our validated snapshot
           TmWord expected = snapshot;
-          if (seq_.word.compare_exchange_strong(expected, snapshot + 1,
-                                                std::memory_order_acq_rel)) {
+          if (u_.htm().nontx_atomic([&] {
+                return seq_.word.compare_exchange_strong(expected, snapshot + 1,
+                                                         std::memory_order_acq_rel);
+              })) {
             break;
           }
           snapshot = revalidate(ctx);
@@ -258,14 +259,14 @@ class PhasedTm {
               detail::HwPlainHandle<typename H::Tx> h{t};
               body(h);
             },
-            detail::kNoCommitWork)) {
+            detail::kNoop)) {
       return;
     }
     // Software phase: registering flips (or keeps) the phase word nonzero,
     // which aborts every in-flight hardware transaction and diverts new ones
     // here — the whole system pays STM until the count drains back to zero.
     trace::escalate(ctx.ring, ExecPath::kStm);
-    phase_.word.fetch_add(1, std::memory_order_acq_rel);
+    u_.htm().nontx_atomic([&] { return phase_.word.fetch_add(1, std::memory_order_acq_rel); });
     detail::tl2_run(u_, ctx, ctx.rs_, ctx.ws_, ctx.lock_scratch_, body);
     phase_.word.fetch_sub(1, std::memory_order_acq_rel);
   }

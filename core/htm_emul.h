@@ -74,6 +74,11 @@ class HtmEmul {
     return c.word.load(std::memory_order_acquire);
   }
   void nontx_store(TmCell& c, TmWord v) { c.word.store(v, std::memory_order_release); }
+  /// No commit atomicity to preserve: runs `f` directly.
+  template <class F>
+  static auto nontx_atomic(F&& f) {
+    return f();
+  }
 
   template <class Entries>
   void nontx_publish(const Entries& entries) {

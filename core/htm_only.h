@@ -61,7 +61,7 @@ class HtmOnly {
                 detail::HwPlainHandle<typename H::Tx> h{t};
                 body(h);
               },
-              detail::kNoCommitWork)) {
+              detail::kNoop)) {
         return;
       }
       detail::run_under_lock(ctx, fallback_, u_.htm(), body);

@@ -191,6 +191,12 @@ class HtmRtm {
     return c.word.load(std::memory_order_acquire);
   }
   void nontx_store(TmCell& c, TmWord v) { c.word.store(v, std::memory_order_release); }
+  /// Strong isolation already makes `f`'s write abort every transaction
+  /// that read the line (contrast HtmSim::nontx_atomic).
+  template <class F>
+  static auto nontx_atomic(F&& f) {
+    return f();
+  }
 
   /// Multi-word software publication. Hardware transactions are protected by
   /// strong isolation (any overlap aborts them); concurrent *software*

@@ -171,6 +171,25 @@ class HtmSim {
     return commit(tx);
   }
 
+  /// Runs `f` — a non-transactional read-modify-write of a word hardware
+  /// transactions read (a stripe lock, the clock, a fallback, sequence or
+  /// phase word, an RH2 mask) — atomically with respect to hardware
+  /// commits. Real HTM gets this from strong isolation: the write aborts
+  /// every transaction that read the line. Here a commit validates and
+  /// publishes under the commit lock, so `f` takes that lock too; without
+  /// it the write could land between a commit's validation and its
+  /// publication and be overwritten or go unseen.
+  template <class F>
+  auto nontx_atomic(F&& f) {
+    struct Unlock {
+      detail::PublicationSeqlock& pub;
+      ~Unlock() { pub.unlock(); }
+    };
+    pub_.lock();
+    const Unlock unlock{pub_};
+    return f();
+  }
+
   /// Non-transactional accesses. Stores serialize against the commit lock so
   /// that a software write-back cannot slip between a hardware commit's
   /// validation and its publication.
@@ -178,9 +197,7 @@ class HtmSim {
     return c.word.load(std::memory_order_acquire);
   }
   void nontx_store(TmCell& c, TmWord v) {
-    pub_.lock();
-    c.word.store(v, std::memory_order_release);
-    pub_.unlock();
+    nontx_atomic([&] { c.word.store(v, std::memory_order_release); });
   }
 
   /// Multi-word software publication (TL2 / slow-slow / NOrec write-back):

@@ -199,7 +199,8 @@ class HybridTm {
   template <class Body>
   void run_slow(ThreadCtx& ctx, Body& body, bool rh2) {
     const ExecPath first = rh2 ? ExecPath::kRh2Slow : ExecPath::kRh1Slow;
-    detail::software_attempts(ctx, &u_.clock(), first, [&](ExecPath& path) {
+    const auto aborted = [&] { u_.clock_on_abort(ctx.ring); };
+    detail::software_attempts(ctx, first, aborted, [&](ExecPath& path) {
       ctx.rs_.clear();
       ctx.ws_.clear();
       const TmWord rv = u_.clock().read();
@@ -211,7 +212,8 @@ class HybridTm {
         trace::escalate(ctx.ring, ExecPath::kRh2Slow);
         return detail::kRetryOnNewPath;
       }
-      rh2_active_.word.fetch_add(1, std::memory_order_acq_rel);
+      u_.htm().nontx_atomic(
+          [&] { return rh2_active_.word.fetch_add(1, std::memory_order_acq_rel); });
       ctx.masks_.clear();
       try {
         Rh2Handle h{*this, ctx, rv};
@@ -372,7 +374,9 @@ class HybridTm {
   }
 
   void publish_once(ThreadCtx& ctx, std::uint32_t stripe) {
-    if (ctx.masks_.insert(stripe)) u_.stripes().publish_read(stripe);
+    if (ctx.masks_.insert(stripe)) {
+      u_.htm().nontx_atomic([&] { u_.stripes().publish_read(stripe); });
+    }
   }
 
   void unpublish_all(ThreadCtx& ctx) {

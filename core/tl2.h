@@ -105,7 +105,7 @@ inline void tl2_software_commit(TmUniverse<H>& u, ReadSet& rs, WriteSet& ws, TmW
     if (acquired + 1 < locked.size()) {
       st.prefetch_word(locked[acquired + 1], /*for_write=*/true);
     }
-    if (!st.try_lock(locked[acquired])) {
+    if (!u.htm().nontx_atomic([&] { return st.try_lock(locked[acquired]); })) {
       release_restore();
       throw StmAbort{AbortCause::kStmLocked};
     }
@@ -120,7 +120,7 @@ inline void tl2_software_commit(TmUniverse<H>& u, ReadSet& rs, WriteSet& ws, TmW
       }
     }
   }
-  const TmWord wv = u.clock().next();
+  const TmWord wv = u.htm().nontx_atomic([&] { return u.clock().next(); });
   const auto is_self = [&](std::uint32_t s) { return ws.wrote_stripe(s); };
   if (!rs.validate(st, rv, is_self)) {
     release_restore();
@@ -143,7 +143,8 @@ inline void tl2_software_commit(TmUniverse<H>& u, ReadSet& rs, WriteSet& ws, TmW
 template <class H, class Body>
 inline void tl2_run(TmUniverse<H>& u, TxContext& ctx, ReadSet& rs, WriteSet& ws,
                     std::vector<std::uint32_t>& lock_scratch, Body& body) {
-  software_attempts(ctx, &u.clock(), ExecPath::kStm, [&](ExecPath&) {
+  const auto aborted = [&] { u.clock_on_abort(ctx.ring); };
+  software_attempts(ctx, ExecPath::kStm, aborted, [&](ExecPath&) {
     rs.clear();
     ws.clear();
     const TmWord rv = u.clock().read();

@@ -113,6 +113,14 @@ class TmUniverse {
     }
   }
 
+  /// A software abort's clock rule (GV6 and the cached clock advance the
+  /// global cell, which hardware transactions read), atomic with respect
+  /// to hardware commits.
+  void clock_on_abort(trace::TraceRing* ring) {
+    htm_.nontx_atomic([&] { clock_.on_abort(); });
+    if (clock_.cached()) trace::clock_publish(ring);
+  }
+
   /// The NUMA geometry axis this universe was built with.
   [[nodiscard]] NumaMode numa() const { return cfg_.numa; }
   /// The resolved topology (config override or Topology::system()).

@@ -78,40 +78,46 @@ void run_planned_transfers(Tm& tm, const AccountStore& store, int n) {
   }
 }
 
-/// Runs `n` transfers through the named durable commit path. The protocol
-/// configs force the path: every commit in the child takes it, so kill-hit
-/// counting is exact.
-template <class H>
-void run_path_txns(TmUniverse<H>& u, const char* path, const AccountStore& store, int n) {
+/// Constructs the protocol that owns the named durable commit path and
+/// hands it to `fn`. The protocol configs force the path: every commit in
+/// the child takes it, so kill-hit counting is exact.
+template <class H, class Fn>
+void with_path_tm(TmUniverse<H>& u, const char* path, Fn&& fn) {
   if (std::strcmp(path, pmem::kPathTl2) == 0) {
     Tl2<H> tm(u);
-    run_planned_transfers(tm, store, n);
+    fn(tm);
   } else if (std::strcmp(path, pmem::kPathRh1Fast) == 0) {
     typename HybridTm<H>::Config cfg;
     cfg.slow_retry_percent = 0;  // hardware only: every commit is a fast commit
     HybridTm<H> tm(u, cfg);
-    run_planned_transfers(tm, store, n);
+    fn(tm);
   } else if (std::strcmp(path, pmem::kPathRh1) == 0) {
     typename HybridTm<H>::Config cfg;
     cfg.force_slow_path = true;  // software body + reduced hardware commit
     HybridTm<H> tm(u, cfg);
-    run_planned_transfers(tm, store, n);
+    fn(tm);
   } else if (std::strcmp(path, pmem::kPathRh2) == 0) {
     typename HybridTm<H>::Config cfg;
     cfg.force_rh2 = true;  // visible reads + write-set hardware commit
     HybridTm<H> tm(u, cfg);
-    run_planned_transfers(tm, store, n);
+    fn(tm);
   } else if (std::strcmp(path, pmem::kPathNorecHw) == 0) {
     HybridNorec<H> tm(u);  // uncontended: every commit is a hardware commit
-    run_planned_transfers(tm, store, n);
+    fn(tm);
   } else if (std::strcmp(path, pmem::kPathNorecSw) == 0) {
     typename HybridNorec<H>::Config cfg;
     cfg.max_hw_attempts = 0;  // straight to the value-log software path
     HybridNorec<H> tm(u, cfg);
-    run_planned_transfers(tm, store, n);
+    fn(tm);
   } else {
     _exit(4);  // unknown path name: the sweep and pmem::kPaths diverged
   }
+}
+
+/// Runs `n` transfers through the named durable commit path.
+template <class H>
+void run_path_txns(TmUniverse<H>& u, const char* path, const AccountStore& store, int n) {
+  with_path_tm(u, path, [&](auto& tm) { run_planned_transfers(tm, store, n); });
 }
 
 /// `strict` = deterministic substrate (sim): every commit provably takes the
@@ -209,13 +215,15 @@ constexpr int kConcTxnsPerThread = 400;
 
 /// Child side: `threads` workers hammer random transfers through the
 /// protocol that owns `path` (forced configs, as in the sweep) until the
-/// armed kill point fires or the plan runs out.
+/// armed kill point fires or the plan runs out. The workers share one
+/// protocol instance, as every concurrent user must: HybridNorec's
+/// sequence lock, RH1's RH2 counter and the lock-elision words live in it.
 template <class H>
 void run_concurrent_child(TmUniverse<H>& u, const char* path, const AccountStore& store,
                           std::uint64_t seed) {
-  auto worker = [&](int tid) {
-    Xoshiro256 rng(seed * 1315423911u + static_cast<std::uint64_t>(tid) + 1);
-    auto body = [&](auto& tm) {
+  with_path_tm(u, path, [&](auto& tm) {
+    auto worker = [&](int tid) {
+      Xoshiro256 rng(seed * 1315423911u + static_cast<std::uint64_t>(tid) + 1);
       typename std::decay_t<decltype(tm)>::ThreadCtx ctx(tm);
       for (int i = 0; i < kConcTxnsPerThread; ++i) {
         const auto from = rng.next_u64() % kConcAccounts;
@@ -224,38 +232,11 @@ void run_concurrent_child(TmUniverse<H>& u, const char* path, const AccountStore
         tm.atomically(ctx, [&](auto& h) { (void)store.transfer(h, from, to, amount); });
       }
     };
-    if (std::strcmp(path, pmem::kPathTl2) == 0) {
-      Tl2<H> tm(u);
-      body(tm);
-    } else if (std::strcmp(path, pmem::kPathRh1Fast) == 0) {
-      typename HybridTm<H>::Config cfg;
-      cfg.slow_retry_percent = 0;
-      HybridTm<H> tm(u, cfg);
-      body(tm);
-    } else if (std::strcmp(path, pmem::kPathRh1) == 0) {
-      typename HybridTm<H>::Config cfg;
-      cfg.force_slow_path = true;
-      HybridTm<H> tm(u, cfg);
-      body(tm);
-    } else if (std::strcmp(path, pmem::kPathRh2) == 0) {
-      typename HybridTm<H>::Config cfg;
-      cfg.force_rh2 = true;
-      HybridTm<H> tm(u, cfg);
-      body(tm);
-    } else if (std::strcmp(path, pmem::kPathNorecHw) == 0) {
-      HybridNorec<H> tm(u);
-      body(tm);
-    } else {
-      typename HybridNorec<H>::Config cfg;
-      cfg.max_hw_attempts = 0;
-      HybridNorec<H> tm(u, cfg);
-      body(tm);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(kConcThreads);
-  for (int t = 0; t < kConcThreads; ++t) threads.emplace_back(worker, t);
-  for (auto& t : threads) t.join();
+    std::vector<std::thread> threads;
+    threads.reserve(kConcThreads);
+    for (int t = 0; t < kConcThreads; ++t) threads.emplace_back(worker, t);
+    for (auto& t : threads) t.join();
+  });
 }
 
 /// Parent side: the recovered log must be a legal serialization of
