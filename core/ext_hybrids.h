@@ -118,7 +118,7 @@ class HybridNorec {
     }
     bool wrote = false;
     TmWord seq_held = 0;
-    const bool committed = detail::hardware_attempts(
+    if (detail::hardware_attempts(
         ctx, u_.htm(), injector_, ExecPath::kHtm,
         [&] {
           wrote = false;
@@ -142,8 +142,9 @@ class HybridNorec {
           if (!durable || !wrote) return;
           u_.pmem().persist(ctx.hw_redo_, pmem::kPathNorecHw, ctx.ring, [] {});
           seq_.word.store(seq_held + 2, std::memory_order_release);
-        });
-    if (committed) return;
+        })) {
+      return;
+    }
     trace::escalate(ctx.ring, ExecPath::kStm);
     run_software(ctx, body);
   }

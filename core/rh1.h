@@ -120,17 +120,15 @@ class HybridTm {
 
   template <class Body>
   void run(ThreadCtx& ctx, Body& body) {
-    if (cfg_.force_slow_path || cfg_.force_rh2) {
+    // Forced software modes, or adaptive software mode skipping doomed
+    // hardware (the manager is consulted only when neither is forced).
+    if (cfg_.force_slow_path || cfg_.force_rh2 || ctx.cm.start_in_software()) {
       run_slow(ctx, body, cfg_.force_rh2);
-      return;
-    }
-    if (ctx.cm.start_in_software()) {
-      run_slow(ctx, body, false);  // adaptive software mode: skip doomed hardware
       return;
     }
     const bool durable = u_.durable();
     TmWord fast_wv = 0;
-    const bool committed = detail::hardware_attempts(
+    if (detail::hardware_attempts(
         ctx, u_.htm(), injector_, ExecPath::kRh1Fast,
         [&] {
           ctx.fast_written_.clear();
@@ -147,8 +145,9 @@ class HybridTm {
           if (ctx.fast_written_.empty()) return;
           hw_committed(ctx, ctx.fast_redo_, ctx.fast_written_.items(), fast_wv,
                        pmem::kPathRh1Fast);
-        });
-    if (committed) return;
+        })) {
+      return;
+    }
     trace::escalate(ctx.ring, ExecPath::kRh1Slow);
     run_slow(ctx, body, false);
   }
@@ -168,13 +167,7 @@ class HybridTm {
         if (t.load(u_.stripes().read_mask(s)) != 0) t.abort_explicit();
       }
     }
-    const TmWord wv = t.load(u_.clock().cell()) + 1;
-    if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
-    const TmWord stamp = StripeTable::commit_stamp(wv, u_.durable());
-    for (const std::uint32_t s : written.items()) {
-      t.store(u_.stripes().word(s), stamp);
-    }
-    *wv_out = wv;
+    *wv_out = u_.hw_commit_stamp(t, written.items());
   }
 
   // ---------------------------------------------------------------- slow --
@@ -215,18 +208,17 @@ class HybridTm {
       u_.htm().nontx_atomic(
           [&] { return rh2_active_.word.fetch_add(1, std::memory_order_acq_rel); });
       ctx.masks_.clear();
+      ExecPath commit_path;
       try {
         Rh2Handle h{*this, ctx, rv};
         body(h);
-        const ExecPath commit_path = rh2_commit(ctx, rv);
-        unpublish_all(ctx);
-        rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
-        return commit_path;
+        commit_path = rh2_commit(ctx, rv);
       } catch (...) {
-        unpublish_all(ctx);
-        rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
+        leave_rh2(ctx);
         throw;
       }
+      leave_rh2(ctx);
+      return commit_path;
     });
   }
 
@@ -243,61 +235,36 @@ class HybridTm {
   bool rh1_reduced_commit(ThreadCtx& ctx, TmWord rv) {
     if (ctx.ws_.empty()) return true;  // read-only: access-time validation suffices
     StripeTable& st = u_.stripes();
-    const bool durable = u_.durable();
-    unsigned tries = 0;
-    for (;;) {
-      TmWord wv_out = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx, [&](typename H::Tx& t) {
-        const auto& read_stripes = ctx.rs_.stripes();  // distinct by construction
-        for (std::size_t i = 0; i < read_stripes.size(); ++i) {
-          // Hide the next validation load's miss behind this one's check:
-          // the stripe list is exact-deduped insertion order, so the walk
-          // has no stride the hardware prefetcher could learn.
-          if (i + 1 < read_stripes.size()) st.prefetch_word(read_stripes[i + 1]);
-          const TmWord w = t.load(st.word(read_stripes[i]));
-          if (StripeTable::is_locked(w) || StripeTable::version_of(w) > rv) {
-            t.abort_explicit();
+    bool check_masks = false;
+    const HtmStatus status = write_set_commit(
+        ctx, pmem::kPathRh1,
+        [&](typename H::Tx& t) {
+          const auto& read_stripes = ctx.rs_.stripes();  // distinct by construction
+          for (std::size_t i = 0; i < read_stripes.size(); ++i) {
+            // Hide the next validation load's miss behind this one's check:
+            // the stripe list is exact-deduped insertion order, so the walk
+            // has no stride the hardware prefetcher could learn.
+            if (i + 1 < read_stripes.size()) st.prefetch_word(read_stripes[i + 1]);
+            const TmWord w = t.load(st.word(read_stripes[i]));
+            if (StripeTable::is_locked(w) || StripeTable::version_of(w) > rv) {
+              t.abort_explicit();
+            }
           }
-        }
-        const bool check_masks = t.load(rh2_active_) != 0;
-        const TmWord wv = t.load(u_.clock().cell()) + 1;
-        if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
-        // Durable: stamp LOCKED inside the hardware transaction, so the
-        // values published at _xend stay unreadable until hw_committed()
-        // has persisted them and unlocked to wv (fine-grained fast-path
-        // locking — the reduced commit stays lock-free in non-durable mode).
-        const TmWord stamped = StripeTable::commit_stamp(wv, durable);
-        const auto& write_stripes = ctx.ws_.write_stripes();  // one stamp per stripe
-        for (std::size_t i = 0; i < write_stripes.size(); ++i) {
-          if (i + 1 < write_stripes.size()) {
-            st.prefetch_word(write_stripes[i + 1], /*for_write=*/true);
-          }
-          const std::uint32_t s = write_stripes[i];
+          check_masks = t.load(rh2_active_) != 0;
+        },
+        [&](typename H::Tx& t, std::uint32_t s) {
           if (StripeTable::is_locked(t.load(st.word(s)))) t.abort_explicit();
           if (check_masks && t.load(st.read_mask(s)) != 0) t.abort_explicit();
-          t.store(st.word(s), stamped);
-        }
-        for (const WriteEntry& e : ctx.ws_.entries()) {
-          t.store(*e.cell, e.value);
-        }
-        wv_out = wv;
-      });
-      if (out.ok()) {
-        hw_committed(ctx, ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out, pmem::kPathRh1);
-        return true;
-      }
-      if (out.status == HtmStatus::kCapacity) {
-        // The reduced commit itself overflowed hardware; the transaction
-        // re-executes with visible reads (RH2), so this is a real abort —
-        // count it, or capacity escalation is invisible in every report.
-        detail::record_abort(ctx, AbortCause::kHtmCapacity);
-        return false;
-      }
-      if (out.status == HtmStatus::kExplicit || ++tries >= cfg_.commit_retries) {
-        throw detail::StmAbort{AbortCause::kStmValidation};
-      }
-      ctx.cm.backoff_commit(tries);
+        });
+    if (status == HtmStatus::kCommitted) return true;
+    if (status == HtmStatus::kCapacity) {
+      // The reduced commit itself overflowed hardware; the transaction
+      // re-executes with visible reads (RH2), so this is a real abort —
+      // count it, or capacity escalation is invisible in every report.
+      detail::record_abort(ctx, AbortCause::kHtmCapacity);
+      return false;
     }
+    throw detail::StmAbort{AbortCause::kStmValidation};  // explicit, or retries exhausted
   }
 
   /// RH2 commit: write-set-only hardware transaction. Reads are protected by
@@ -307,17 +274,9 @@ class HybridTm {
   ExecPath rh2_commit(ThreadCtx& ctx, TmWord rv) {
     if (ctx.ws_.empty()) return ExecPath::kRh2Slow;  // visible reads validated at access
     StripeTable& st = u_.stripes();
-    const bool durable = u_.durable();
-    unsigned tries = 0;
-    for (;;) {
-      TmWord wv_out = 0;
-      const HtmOutcome out = u_.htm().execute(ctx.tx, [&](typename H::Tx& t) {
-        const TmWord wv = t.load(u_.clock().cell()) + 1;
-        if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
-        // Same durable discipline as the reduced commit: locked stamps in
-        // hardware, persist + unlock after _xend.
-        const TmWord stamped = StripeTable::commit_stamp(wv, durable);
-        for (const std::uint32_t s : ctx.ws_.write_stripes()) {  // one check+stamp each
+    const HtmStatus status = write_set_commit(
+        ctx, pmem::kPathRh2, [](typename H::Tx&) {},
+        [&](typename H::Tx& t, std::uint32_t s) {
           const TmWord w = t.load(st.word(s));
           if (StripeTable::is_locked(w) || StripeTable::version_of(w) > rv) {
             t.abort_explicit();
@@ -326,29 +285,55 @@ class HybridTm {
           if (t.load(st.read_mask(s)) > (ctx.masks_.contains(s) ? 1u : 0u)) {
             t.abort_explicit();  // a foreign visible reader holds this stripe
           }
-          t.store(st.word(s), stamped);
+        });
+    if (status == HtmStatus::kCommitted) return ExecPath::kRh2Slow;
+    if (status == HtmStatus::kExplicit) throw detail::StmAbort{AbortCause::kStmValidation};
+    if (status == HtmStatus::kCapacity) {
+      // Same observability rule as the reduced commit: the hardware
+      // commit overflowed, and escalation must be visible in reports
+      // even though the slow-slow commit completes this same attempt.
+      detail::record_abort(ctx, AbortCause::kHtmCapacity);
+    }
+    trace::escalate(ctx.ring, ExecPath::kRh2SlowSlow);
+    detail::tl2_software_commit(u_, ctx.rs_, ctx.ws_, rv, ctx.lock_scratch_, &ctx.masks_,
+                                ctx.ring);
+    return ExecPath::kRh2SlowSlow;
+  }
+
+  /// The transaction RH1's two software-path commits share: `prologue(t)`,
+  /// a fresh commit version, then per unique write stripe `check(t, s)`
+  /// and its stamp (locked when durable: the values published at _xend
+  /// stay unreadable until hw_committed() has persisted them and unlocked
+  /// to wv), then the write-set data. Retried with backoff while it
+  /// conflicts, at most commit_retries times; returns the final status.
+  template <class Prologue, class Check>
+  HtmStatus write_set_commit(ThreadCtx& ctx, const char* path, Prologue&& prologue,
+                             Check&& check) {
+    StripeTable& st = u_.stripes();
+    for (unsigned tries = 0;;) {
+      TmWord wv = 0;
+      const HtmOutcome out = u_.htm().execute(ctx.tx, [&](typename H::Tx& t) {
+        prologue(t);
+        wv = t.load(u_.clock().cell()) + 1;
+        if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
+        const TmWord stamped = StripeTable::commit_stamp(wv, u_.durable());
+        const auto& write_stripes = ctx.ws_.write_stripes();  // one stamp per stripe
+        for (std::size_t i = 0; i < write_stripes.size(); ++i) {
+          if (i + 1 < write_stripes.size()) {
+            st.prefetch_word(write_stripes[i + 1], /*for_write=*/true);
+          }
+          check(t, write_stripes[i]);
+          t.store(st.word(write_stripes[i]), stamped);
         }
-        for (const WriteEntry& e : ctx.ws_.entries()) {
-          t.store(*e.cell, e.value);
-        }
-        wv_out = wv;
+        for (const WriteEntry& e : ctx.ws_.entries()) t.store(*e.cell, e.value);
       });
       if (out.ok()) {
-        hw_committed(ctx, ctx.ws_.entries(), ctx.ws_.write_stripes(), wv_out, pmem::kPathRh2);
-        return ExecPath::kRh2Slow;
+        hw_committed(ctx, ctx.ws_.entries(), ctx.ws_.write_stripes(), wv, path);
+        return HtmStatus::kCommitted;
       }
-      if (out.status == HtmStatus::kExplicit) throw detail::StmAbort{AbortCause::kStmValidation};
-      if (out.status == HtmStatus::kCapacity || ++tries >= cfg_.commit_retries) {
-        if (out.status == HtmStatus::kCapacity) {
-          // Same observability rule as the reduced commit: the hardware
-          // commit overflowed, and escalation must be visible in reports
-          // even though the slow-slow commit completes this same attempt.
-          detail::record_abort(ctx, AbortCause::kHtmCapacity);
-        }
-        trace::escalate(ctx.ring, ExecPath::kRh2SlowSlow);
-        detail::tl2_software_commit(u_, ctx.rs_, ctx.ws_, rv, ctx.lock_scratch_, &ctx.masks_,
-                                    ctx.ring);
-        return ExecPath::kRh2SlowSlow;
+      if (out.status == HtmStatus::kCapacity || out.status == HtmStatus::kExplicit ||
+          ++tries >= cfg_.commit_retries) {
+        return out.status;
       }
       ctx.cm.backoff_commit(tries);
     }
@@ -379,9 +364,11 @@ class HybridTm {
     }
   }
 
-  void unpublish_all(ThreadCtx& ctx) {
+  /// Unpublishes every read mask and leaves the live-RH2 count.
+  void leave_rh2(ThreadCtx& ctx) {
     for (const std::uint32_t s : ctx.masks_.items()) u_.stripes().unpublish_read(s);
     ctx.masks_.clear();
+    rh2_active_.word.fetch_sub(1, std::memory_order_acq_rel);
   }
 
   TmUniverse<H>& u_;

@@ -93,7 +93,7 @@ class StandardHytm {
               fallback_.subscribe(t);
               HwHandle h{t, u_.stripes(), ctx.hw_written_};
               body(h);
-              publish_stamps(t, ctx.hw_written_);
+              if (!ctx.hw_written_.empty()) u_.hw_commit_stamp(t, ctx.hw_written_.items());
             },
             [&] {
               if (!ctx.hw_written_.empty()) u_.clock().note_hw_commit();
@@ -109,18 +109,6 @@ class StandardHytm {
     }
     trace::escalate(ctx.ring, ExecPath::kStm);
     detail::tl2_run(u_, ctx, ctx.rs_, ctx.ws_, ctx.lock_scratch_, body);
-  }
-
-  /// Commit-point stamping: re-read the clock inside the transaction so the
-  /// published version is provably newer than any concurrent software
-  /// reader's read-version, then publish every written stripe exactly once.
-  void publish_stamps(typename H::Tx& t, const StripeSet& written) {
-    if (written.empty()) return;
-    const TmWord wv = t.load(u_.clock().cell()) + 1;
-    if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
-    for (const std::uint32_t s : written.items()) {
-      t.store(u_.stripes().word(s), StripeTable::make_word(wv));
-    }
   }
 
   TmUniverse<H>& u_;

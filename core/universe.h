@@ -100,6 +100,20 @@ class TmUniverse {
   /// The persistent domain; only valid when durable().
   [[nodiscard]] PersistentDomain& pmem() { return *pmem_; }
 
+  /// The commit point of a hardware transaction that stamps stripes: a
+  /// fresh version read from the clock inside the transaction (so it is
+  /// newer than any concurrent software reader's read-version; stored
+  /// unless the clock forbids in-transaction writes), then one stamp per
+  /// distinct written stripe. Returns the version.
+  template <class Tx, class Stripes>
+  TmWord hw_commit_stamp(Tx& t, const Stripes& stripes) {
+    const TmWord wv = t.load(clock_.cell()) + 1;
+    if (clock_.hw_writes_clock()) t.store(clock_.cell(), wv);
+    const TmWord stamp = StripeTable::commit_stamp(wv, durable());
+    for (const std::uint32_t s : stripes) t.store(stripes_.word(s), stamp);
+    return wv;
+  }
+
   /// A software commit's write-back: `entries` published as one atomic
   /// batch, wrapped in the persist step when durable. The caller holds its
   /// commit locks across the call.
