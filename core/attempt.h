@@ -73,8 +73,7 @@ inline void record_commit(TxContext& ctx, ExecPath path) {
   trace::commit(ctx.ring, path);
 }
 
-/// Loop hooks for protocols with nothing to do at that point.
-inline constexpr auto kAlwaysReady = [] { return true; };
+/// Loop hook for protocols with nothing to do at that point.
 inline constexpr auto kNoop = [] {};
 
 /// The hardware-attempt loop. Per attempt: `ready()` runs outside the

@@ -140,7 +140,7 @@ class HybridNorec {
         },
         [&] {
           if (!durable || !wrote) return;
-          u_.pmem().persist(ctx.hw_redo_, pmem::kPathNorecHw, ctx.ring, [] {});
+          u_.pmem().persist(ctx.hw_redo_, pmem::kPathNorecHw, ctx.ring, detail::kNoop);
           seq_.word.store(seq_held + 2, std::memory_order_release);
         })) {
       return;

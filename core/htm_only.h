@@ -55,7 +55,7 @@ class HtmOnly {
       // conflict streak to the lock.
       if (!ctx.cm.start_in_software() &&
           detail::hardware_attempts(
-              ctx, u_.htm(), injector_, ExecPath::kHtm, detail::kAlwaysReady,
+              ctx, u_.htm(), injector_, ExecPath::kHtm, [] { return true; },
               [&](typename H::Tx& t) {
                 fallback_.subscribe(t);
                 detail::HwPlainHandle<typename H::Tx> h{t};

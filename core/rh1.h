@@ -354,7 +354,7 @@ class HybridTm {
                     const char* path) {
     u_.clock().note_hw_commit();
     if (!u_.durable()) return;
-    u_.pmem().persist(entries, path, ctx.ring, [] {});
+    u_.pmem().persist(entries, path, ctx.ring, detail::kNoop);
     for (const std::uint32_t s : stripes) u_.stripes().unlock_to(s, wv);
   }
 

@@ -131,6 +131,7 @@ class TmUniverse {
   /// global cell, which hardware transactions read), atomic with respect
   /// to hardware commits.
   void clock_on_abort(trace::TraceRing* ring) {
+    if (clock_.hw_writes_clock()) return;  // GV1/GV4 keep no abort rule
     htm_.nontx_atomic([&] { clock_.on_abort(); });
     if (clock_.cached()) trace::clock_publish(ring);
   }
