@@ -131,7 +131,15 @@ class TmUniverse {
   /// global cell, which hardware transactions read), atomic with respect
   /// to hardware commits.
   void clock_on_abort(trace::TraceRing* ring) {
-    if (clock_.hw_writes_clock()) return;  // GV1/GV4 keep no abort rule
+    if (clock_.hw_writes_clock()) {
+      // GV1/GV4 keep no abort rule, except on a substrate whose hardware
+      // commits are plain accesses (emul): two racing commits can leave
+      // the clock below a stamp one of them wrote, and once the writers
+      // stop a software reader would fail validation forever. Advancing
+      // the clock restores its progress.
+      if constexpr (!SubstrateTraits<H>::kAtomic) (void)clock_.next();
+      return;
+    }
     htm_.nontx_atomic([&] { clock_.on_abort(); });
     if (clock_.cached()) trace::clock_publish(ring);
   }

@@ -116,6 +116,25 @@ void snapshot_invariant_under_concurrent_writer() {
   CHECK_EQ(x.unsafe_read() + y.unsafe_read(), 100u);
 }
 
+/// The emulated substrate's hardware commits are plain accesses, so two
+/// racing ones can leave the GV1 clock below a stripe stamp one of them
+/// wrote. Once the writers stop, a software transaction must still get
+/// past that stamp: each validation abort advances the clock by one.
+/// Without that rule this transaction retried forever.
+void emul_software_retry_catches_the_clock_up() {
+  TmUniverse<HtmEmul> u;
+  TVar<TmWord> cell(7);
+  u.stripes().unlock_to(u.stripes().index_of(&cell.cell()), u.clock().read() + 3);
+  HybridTm<HtmEmul>::Config cfg;
+  cfg.force_slow_path = true;
+  HybridTm<HtmEmul> tm(u, cfg);
+  HybridTm<HtmEmul>::ThreadCtx ctx(tm);
+  tm.atomically(ctx, [&](auto& tx) { cell.write(tx, cell.read(tx) + 1); });
+  CHECK_EQ(cell.unsafe_read(), 8u);
+  CHECK_EQ(ctx.stats.commits, 1u);
+  CHECK_EQ(ctx.stats.aborts_by_cause[static_cast<std::size_t>(AbortCause::kStmValidation)], 3u);
+}
+
 }  // namespace
 }  // namespace rhtm
 
@@ -128,5 +147,7 @@ int main() {
       TestCase{"zipfian_rereads_exact_dedup", rhtm::zipfian_rereads_exact_dedup},
       TestCase{"snapshot_invariant_under_concurrent_writer",
                rhtm::snapshot_invariant_under_concurrent_writer},
+      TestCase{"emul_software_retry_catches_the_clock_up",
+               rhtm::emul_software_retry_catches_the_clock_up},
   });
 }
