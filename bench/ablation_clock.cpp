@@ -40,7 +40,8 @@ RHTM_SCENARIO(ablation_clock, "§2.2 (A1)",
                          m.atomically(ctx, [&](auto& tx) {
                            do_not_optimize(array.op(tx, rng, 64, 20));
                          });
-                       });
+                       },
+                       opt.pin);
     report::Point& p = table.add_series(to_string(mode)).add_point(threads);
     p.set("total_ops", static_cast<double>(r.total_ops));
     p.set("abort_ratio", r.abort_ratio());

@@ -31,7 +31,7 @@ void run_policy(const Options& opt, report::SeriesData& series, std::uint32_t in
       tm, kThreads, opt.seconds * 2, [&](auto& m, auto& ctx, Xoshiro256& rng, unsigned) {
         auto& cell = cells[rng.below(cells.size())];
         m.atomically(ctx, [&](auto& tx) { cell.write(tx, cell.read(tx) + 1); });
-      });
+      }, opt.pin);
   const double tries =
       r.total_ops > 0
           ? static_cast<double>(

@@ -33,7 +33,8 @@ RHTM_SCENARIO(ablation_readmask, "§4.1 (A4)",
                            m.atomically(ctx, [&](auto& tx) {
                              do_not_optimize(array.op(tx, rng, 32, 25));
                            });
-                         });
+                         },
+                         opt.pin);
       fill_point(series.add_point(threads), r);
     }
   }

@@ -36,7 +36,8 @@ RHTM_SCENARIO(ablation_stripes, "§2 (A2)",
                            m.atomically(ctx, [&](auto& tx) {
                              do_not_optimize(array.op(tx, rng, 32, 50));
                            });
-                         });
+                         },
+                         opt.pin);
       report::Point& p = series.add_point(gran);
       p.set("total_ops", static_cast<double>(r.total_ops));
       p.set("abort_ratio", r.abort_ratio());

@@ -527,7 +527,7 @@ decltype(auto) with_series_tm(TmUniverse<H>& universe, Series series,
 template <class H, class OpFactory>
 ThroughputResult run_series_point(TmUniverse<H>& universe, Series series, unsigned threads,
                                   double seconds, std::uint32_t inject_bp, OpFactory&& op,
-                                  PinMode pin = PinMode::kNone) {
+                                  PinMode pin) {
   return with_series_tm(universe, series, inject_bp, [&](auto& tm) {
     return run_throughput(tm, threads, seconds, op, pin);
   });
@@ -540,10 +540,28 @@ template <class H, class OpFactory>
                                                                        unsigned threads,
                                                                        double seconds,
                                                                        OpFactory&& op,
-                                                                       PinMode pin = PinMode::kNone) {
+                                                                       PinMode pin) {
   Tl2<H> tl2(universe);
   ThroughputResult r = run_throughput(tl2, threads, seconds, op, pin);
   return {AbortInjector::from_ratio(r.abort_ratio()).rate_bp(), std::move(r)};
+}
+
+/// The paper's constant-structure transaction (§3.1): a uniform key from
+/// [0, 2·size) — about half of them stored — then the update coin, then
+/// (for an update) the value, drawn in that order. `ds` is any of the
+/// constant structures (workloads/constant_*.h).
+template <class DS>
+[[nodiscard]] auto lookup_update_op(const DS& ds, unsigned write_percent) {
+  return [&ds, write_percent](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
+    const std::uint64_t key = rng.below(2 * ds.size());
+    if (rng.percent_chance(write_percent)) {
+      tm.atomically(ctx, [&](auto& tx) { (void)ds.update(tx, key, rng.next_u64()); });
+    } else {
+      TmWord sink = 0;
+      tm.atomically(ctx, [&](auto& tx) { (void)ds.lookup(tx, key, &sink); });
+      do_not_optimize(sink);
+    }
+  };
 }
 
 /// Standard figure loop: for each thread count, calibrate on TL2 once, then

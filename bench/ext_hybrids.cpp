@@ -21,29 +21,17 @@ namespace {
 template <class H>
 void run_no_pressure(const Options& opt, report::BenchReport& rep) {
   ConstantRbTree tree(100'000);
-  constexpr unsigned kWritePercent = 20;
   TmUniverse<H> universe(universe_config(opt));
   report::TableData& table = rep.add_table(
       "ext-hybrids - RB-tree 100K, 20% writes, no software pressure (substrate=" +
       std::string(opt.substrate_name()) + ")");
-
-  auto op = [&](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
-    const std::uint64_t key = rng.below(2 * tree.size());
-    if (rng.percent_chance(kWritePercent)) {
-      tm.atomically(ctx, [&](auto& tx) { (void)tree.update(tx, key, rng.next_u64(), rng); });
-    } else {
-      TmWord sink = 0;
-      tm.atomically(ctx, [&](auto& tx) { (void)tree.lookup(tx, key, &sink); });
-      do_not_optimize(sink);
-    }
-  };
 
   // Scenario (a) is "everything fits": zero injection for the hardware
   // series — all hybrids should land close to raw HTM.
   run_figure(universe, table,
              {Series::kRh1Mix100, Series::kHybridNorec, Series::kPhasedTm, Series::kStdHytm,
               Series::kTl2},
-             opt, op, /*inject=*/false);
+             opt, lookup_update_op(tree, 20), /*inject=*/false);
 }
 
 // Scenario (b): a small fraction of transactions genuinely exceeds the HTM
@@ -60,10 +48,9 @@ void run_capacity_pressure_table(const Options& opt, report::BenchReport& rep) {
       std::string("ext-hybrids - 2% oversized transactions (genuine capacity aborts, "
                   "substrate=") +
       SubstrateTraits<H>::kName + ")");
-  table.add_series("RH1-Mix100");
-  table.add_series("HybridNOrec");
-  table.add_series("PhasedTM");
-  table.add_series("TL2");
+  const Series series[] = {Series::kRh1Mix100, Series::kHybridNorec, Series::kPhasedTm,
+                           Series::kTl2};
+  for (const Series s : series) table.add_series(to_string(s));
 
   const auto make_op = [&](std::vector<TVar<TmWord>>& cells) {
     return [&cells, kBulkWrites, kBulkPercent, kCells](auto& m, auto& ctx, Xoshiro256& rng,
@@ -84,35 +71,12 @@ void run_capacity_pressure_table(const Options& opt, report::BenchReport& rep) {
   };
 
   for (const unsigned threads : opt.threads) {
-    {
-      TmUniverse<H> u(universe_config(opt));
+    for (std::size_t i = 0; i < std::size(series); ++i) {
+      TmUniverse<H> u(universe_config(opt));  // fresh stripes and cells per point
       std::vector<TVar<TmWord>> cells(kCells);
-      typename HybridTm<H>::Config cfg;
-      cfg.slow_retry_percent = 100;
-      HybridTm<H> tm(u, cfg);
-      fill_point(table.series[0].add_point(threads),
-                 run_throughput(tm, threads, opt.seconds, make_op(cells)));
-    }
-    {
-      TmUniverse<H> u(universe_config(opt));
-      std::vector<TVar<TmWord>> cells(kCells);
-      HybridNorec<H> tm(u);
-      fill_point(table.series[1].add_point(threads),
-                 run_throughput(tm, threads, opt.seconds, make_op(cells)));
-    }
-    {
-      TmUniverse<H> u(universe_config(opt));
-      std::vector<TVar<TmWord>> cells(kCells);
-      PhasedTm<H> tm(u);
-      fill_point(table.series[2].add_point(threads),
-                 run_throughput(tm, threads, opt.seconds, make_op(cells)));
-    }
-    {
-      TmUniverse<H> u(universe_config(opt));
-      std::vector<TVar<TmWord>> cells(kCells);
-      Tl2<H> tm(u);
-      fill_point(table.series[3].add_point(threads),
-                 run_throughput(tm, threads, opt.seconds, make_op(cells)));
+      fill_point(table.series[i].add_point(threads),
+                 run_series_point(u, series[i], threads, opt.seconds, 0, make_op(cells),
+                                  opt.pin));
     }
   }
 }

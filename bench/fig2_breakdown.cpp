@@ -8,11 +8,10 @@
 // as Private time. Commit time includes transaction begin/commit machinery;
 // InterTX is everything between transactions (key selection, RNG, loop).
 
-#include <array>
+#include <vector>
 
 #include "registry.h"
 #include "workloads/constant_rbtree.h"
-#include "workloads/timed_handle.h"
 
 namespace rhtm::bench {
 namespace {
@@ -24,109 +23,62 @@ struct Row {
                                  ///< barrier paths, so speedups use this
 };
 
-/// One transaction of the RB-tree workload through a TimedHandle with the
-/// read/write timing flags of the series.
-template <bool kTimeReads, bool kTimeWrites, class Tm, class Ctx>
-void one_op(Tm& tm, Ctx& ctx, Xoshiro256& rng, TxStats& stats, std::uint64_t& body_cycles,
-            ConstantRbTree& tree, unsigned write_percent) {
-  const std::uint64_t key = rng.below(2 * tree.size());
-  const bool is_write = rng.percent_chance(write_percent);
-  tm.atomically(ctx, [&](auto& tx) {
-    const std::uint64_t t0 = rdtsc();
-    TimedHandle<std::decay_t<decltype(tx)>, kTimeReads, kTimeWrites> timed(tx, stats);
-    if (is_write) {
-      (void)tree.update(timed, key, rng.next_u64(), rng);
-    } else {
-      TmWord sink = 0;
-      (void)tree.lookup(timed, key, &sink);
-      do_not_optimize(sink);
-    }
-    body_cycles += rdtsc() - t0;
-  });
+/// One series' row: the breakdown of the RB-tree workload with the series'
+/// read/write timing flags, then its untimed single-thread throughput.
+template <bool kTimeReads, bool kTimeWrites, class Tm>
+Row measure_row(const char* name, Tm& tm, double secs, const ConstantRbTree& tree,
+                unsigned write_percent) {
+  const BreakdownResult breakdown =
+      run_breakdown<kTimeReads, kTimeWrites>(tm, secs, [&](Xoshiro256& rng) {
+        const std::uint64_t key = rng.below(2 * tree.size());
+        const bool is_write = rng.percent_chance(write_percent);
+        return [&tree, &rng, key, is_write](auto& h) {
+          if (is_write) {
+            (void)tree.update(h, key, rng.next_u64());
+          } else {
+            TmWord sink = 0;
+            (void)tree.lookup(h, key, &sink);
+            do_not_optimize(sink);
+          }
+        };
+      });
+  const ThroughputResult plain = run_throughput(tm, 1, secs, lookup_update_op(tree, write_percent));
+  return {name, breakdown,
+          plain.seconds > 0 ? static_cast<double>(plain.total_ops) / plain.seconds : 0.0};
 }
 
 template <class H>
-void run_breakdowns(const Options& opt, report::BenchReport& rep, ConstantRbTree& tree,
+void run_breakdowns(const Options& opt, report::BenchReport& rep, const ConstantRbTree& tree,
                     unsigned write_percent) {
   TmUniverse<H> universe(universe_config(opt));
   const double secs = opt.seconds * 2;  // single point per series; can afford more
 
-  // Untimed single-thread throughput (for the speedup column).
-  const auto plain_run = [&](auto& tm) {
-    const ThroughputResult r = run_throughput(
-        tm, 1, secs, [&](auto& m, auto& ctx, Xoshiro256& rng, unsigned) {
-          const std::uint64_t key = rng.below(2 * tree.size());
-          if (rng.percent_chance(write_percent)) {
-            m.atomically(ctx, [&](auto& tx) { (void)tree.update(tx, key, rng.next_u64(), rng); });
-          } else {
-            TmWord sink = 0;
-            m.atomically(ctx, [&](auto& tx) { (void)tree.lookup(tx, key, &sink); });
-            do_not_optimize(sink);
-          }
-        });
-    return r.seconds > 0 ? static_cast<double>(r.total_ops) / r.seconds : 0.0;
-  };
-
-  std::array<Row, 5> rows{};
-  std::size_t n = 0;
-
+  std::vector<Row> rows;
   {  // RH1 Slow — the mixed slow-path only (software body, HTM commit)
     typename HybridTm<H>::Config cfg;
     cfg.force_slow_path = true;
     HybridTm<H> tm(universe, cfg);
-    rows[n++] = {"RH1-Slow",
-                 run_breakdown(tm, secs,
-                               [&](auto& m, auto& ctx, Xoshiro256& rng, TxStats& stats,
-                                   std::uint64_t& body) {
-                                 one_op<true, true>(m, ctx, rng, stats, body, tree, write_percent);
-                               }),
-                 plain_run(tm)};
+    rows.push_back(measure_row<true, true>("RH1-Slow", tm, secs, tree, write_percent));
   }
   {  // TL2
     Tl2<H> tm(universe);
-    rows[n++] = {"TL2",
-                 run_breakdown(tm, secs,
-                               [&](auto& m, auto& ctx, Xoshiro256& rng, TxStats& stats,
-                                   std::uint64_t& body) {
-                                 one_op<true, true>(m, ctx, rng, stats, body, tree, write_percent);
-                               }),
-                 plain_run(tm)};
+    rows.push_back(measure_row<true, true>("TL2", tm, secs, tree, write_percent));
   }
   {  // Standard HyTM (hardware only) — barriers on reads and writes
     typename StandardHytm<H>::Config cfg;
     cfg.hardware_only = true;
     StandardHytm<H> tm(universe, cfg);
-    rows[n++] = {"StandardHyTM",
-                 run_breakdown(tm, secs,
-                               [&](auto& m, auto& ctx, Xoshiro256& rng, TxStats& stats,
-                                   std::uint64_t& body) {
-                                 one_op<true, true>(m, ctx, rng, stats, body, tree, write_percent);
-                               }),
-                 plain_run(tm)};
+    rows.push_back(measure_row<true, true>("StandardHyTM", tm, secs, tree, write_percent));
   }
   {  // RH1 Fast — write barrier only (version store); reads uninstrumented
     typename HybridTm<H>::Config cfg;
     cfg.slow_retry_percent = 0;
     HybridTm<H> tm(universe, cfg);
-    rows[n++] = {"RH1-Fast",
-                 run_breakdown(tm, secs,
-                               [&](auto& m, auto& ctx, Xoshiro256& rng, TxStats& stats,
-                                   std::uint64_t& body) {
-                                 one_op<false, true>(m, ctx, rng, stats, body, tree,
-                                                     write_percent);
-                               }),
-                 plain_run(tm)};
+    rows.push_back(measure_row<false, true>("RH1-Fast", tm, secs, tree, write_percent));
   }
   {  // HTM — no barriers at all
     HtmOnly<H> tm(universe);
-    rows[n++] = {"HTM",
-                 run_breakdown(tm, secs,
-                               [&](auto& m, auto& ctx, Xoshiro256& rng, TxStats& stats,
-                                   std::uint64_t& body) {
-                                 one_op<false, false>(m, ctx, rng, stats, body, tree,
-                                                      write_percent);
-                               }),
-                 plain_run(tm)};
+    rows.push_back(measure_row<false, false>("HTM", tm, secs, tree, write_percent));
   }
 
   const double tl2_ops = rows[1].plain_ops_per_sec;
@@ -135,9 +87,9 @@ void run_breakdowns(const Options& opt, report::BenchReport& rep, ConstantRbTree
       "Figure 2 - single-thread breakdown, RB-Tree " + std::to_string(write_percent) +
           "% mutations (substrate=" + opt.substrate_name() + ")",
       report::TableStyle::kWide, "write_percent", "speedup_vs_tl2");
-  for (std::size_t i = 0; i < n; ++i) {
-    const BreakdownResult& b = rows[i].breakdown;
-    report::Point& p = table.add_series(rows[i].name).add_point(write_percent);
+  for (const Row& row : rows) {
+    const BreakdownResult& b = row.breakdown;
+    report::Point& p = table.add_series(row.name).add_point(write_percent);
     p.set("read_pct", b.read_pct);
     p.set("write_pct", b.write_pct);
     p.set("commit_pct", b.commit_pct);
@@ -145,9 +97,9 @@ void run_breakdowns(const Options& opt, report::BenchReport& rep, ConstantRbTree
     p.set("intertx_pct", b.intertx_pct);
     p.set("reads", static_cast<double>(b.reads));
     p.set("writes", static_cast<double>(b.writes));
-    p.set("aborts", static_cast<double>(b.aborts));
-    p.set("commits", static_cast<double>(b.commits));
-    p.set("speedup_vs_tl2", tl2_ops > 0 ? rows[i].plain_ops_per_sec / tl2_ops : 0.0);
+    p.set("aborts", static_cast<double>(b.stats.aborts));
+    p.set("commits", static_cast<double>(b.stats.commits));
+    p.set("speedup_vs_tl2", tl2_ops > 0 ? row.plain_ops_per_sec / tl2_ops : 0.0);
   }
 }
 

@@ -35,13 +35,14 @@ void run_fig3_array(const Options& opt, report::BenchReport& rep) {
       auto op = [&array, len, write_pct](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
         tm.atomically(ctx, [&](auto& tx) { do_not_optimize(array.op(tx, rng, len, write_pct)); });
       };
-      const auto [inject_bp, tl2_result] =
-          calibrate_tl2(universe, threads, opt.calib_seconds, op);
-      (void)tl2_result;
+      const std::uint32_t inject_bp =
+          calibrate_tl2(universe, threads, opt.calib_seconds, op, opt.pin).first;
       const ThroughputResult rh1 =
-          run_series_point(universe, Series::kRh1Fast, threads, opt.seconds, inject_bp, op);
+          run_series_point(universe, Series::kRh1Fast, threads, opt.seconds, inject_bp, op,
+                           opt.pin);
       const ThroughputResult hytm =
-          run_series_point(universe, Series::kStdHytm, threads, opt.seconds, inject_bp, op);
+          run_series_point(universe, Series::kStdHytm, threads, opt.seconds, inject_bp, op,
+                           opt.pin);
       const double speedup = hytm.total_ops > 0
                                  ? static_cast<double>(rh1.total_ops) /
                                        static_cast<double>(hytm.total_ops)

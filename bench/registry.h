@@ -9,11 +9,6 @@
 // A scenario is a function from Options to a report::BenchReport. It must
 // fill the report's tables (and, ideally, substrate + meta); the driver
 // stamps the scenario name, the per-point seconds and the wall clock.
-//
-// Linking decides the scenario set: bench/run_all.cpp provides main(), so
-// an executable built from it plus any subset of bench/scenario_*.cpp files
-// is a driver over exactly that subset — `run_all` links all of them, each
-// legacy binary (fig1_rbtree, ...) links just its own.
 
 #include <algorithm>
 #include <vector>
@@ -38,7 +33,7 @@ class Registry {
 
   void add(const Scenario& s) { scenarios_.push_back(s); }
 
-  /// Registered scenarios in name order (registration order is link order).
+  /// Registered scenarios in name order.
   [[nodiscard]] std::vector<Scenario> sorted() const {
     std::vector<Scenario> v = scenarios_;
     std::sort(v.begin(), v.end(), [](const Scenario& a, const Scenario& b) {
@@ -63,8 +58,5 @@ struct ScenarioRegistrar {
   static const ::rhtm::bench::ScenarioRegistrar rhtm_scenario_registrar_##name_{    \
       ::rhtm::bench::Scenario{#name_, paper_ref_, summary_, &rhtm_scenario_##name_}}; \
   static ::rhtm::report::BenchReport rhtm_scenario_##name_(const Options& opt)
-
-/// The driver entry point (defined in bench/run_all.cpp).
-int registry_main(int argc, char** argv);
 
 }  // namespace rhtm::bench

@@ -9,10 +9,6 @@
 // machine-readable BENCH_<scenario>.json (see docs/BENCHMARKS.md for the
 // schema and diffing recipes) built from the same stored points, unless
 // --no-json is given.
-//
-// This file also provides main() for the per-figure binaries: each legacy
-// target (fig1_rbtree, ...) links run_all.cpp plus its own scenario file,
-// so it is the same driver restricted to the scenarios linked in.
 
 #include <chrono>
 #include <memory>

@@ -12,8 +12,6 @@
 // The before/after BENCH_commit_path.json diff of the stripe-dedup overhaul
 // is cited in docs/BENCHMARKS.md.
 
-#include <chrono>
-
 #include "registry.h"
 #include "workloads/zipf.h"
 
@@ -53,56 +51,26 @@ void commit_path_body(Tx& tx, const std::vector<TVar<TmWord>>& reads,
 }
 
 /// Single-thread timed window for one (series, W) point: wall-clock ns per
-/// transaction, the commit share of it (cycle-attributed), and the
-/// capacity-abort rate over all hardware commit attempts in the window.
+/// transaction, the commit share of it (run_breakdown's cycle
+/// attribution), and the capacity-abort rate over all hardware commit
+/// attempts in the window.
 template <class Tm>
 void time_commit_point(report::SeriesData& series, Tm& tm, double seconds,
                        const std::vector<TVar<TmWord>>& reads,
                        const std::vector<TVar<TmWord>>& writes,
                        const ZipfianGenerator& zipf, std::size_t w) {
-  using clock = std::chrono::steady_clock;
-  typename Tm::ThreadCtx ctx(tm);
-  ctx.stats.timing = true;
-  Xoshiro256 rng(0x5851f42d4c957f2dull ^ w);
-  std::uint64_t body_cycles = 0;
-  const auto one_tx = [&] {
-    tm.atomically(ctx, [&](auto& tx) {
-      const std::uint64_t b0 = rdtsc();
-      commit_path_body(tx, reads, writes, zipf, rng, w);
-      body_cycles += rdtsc() - b0;
-    });
-  };
-  one_tx();  // warm-up (first-touch, lazy growth)
-  const TxStats before = ctx.stats;
-  body_cycles = 0;
-  std::uint64_t ops = 0;
-  const auto t0 = clock::now();
-  const std::uint64_t c0 = rdtsc();
-  const auto deadline = t0 + std::chrono::duration<double>(seconds);
-  auto now = t0;
-  do {
-    one_tx();
-    ++ops;
-    now = clock::now();
-  } while (now < deadline);
-  const std::uint64_t total_cycles = rdtsc() - c0;
-  const double wall_ns = std::chrono::duration<double, std::nano>(now - t0).count();
-
-  const TxStats d = tx_stats_delta(ctx.stats, before);
-  const std::uint64_t commit_cycles =
-      d.tx_cycles > body_cycles ? d.tx_cycles - body_cycles : 0;
+  const BreakdownResult b = run_breakdown<false, false>(tm, seconds, [&](Xoshiro256& rng) {
+    return [&](auto& h) { commit_path_body(h, reads, writes, zipf, rng, w); };
+  });
+  const TxStats& d = b.stats;
   std::uint64_t attempts = 0;
   for (const std::uint64_t a : d.attempts_by_path) attempts += a;
   const double capacity_aborts = static_cast<double>(
       d.aborts_by_cause[static_cast<std::size_t>(AbortCause::kHtmCapacity)]);
 
   report::Point& p = series.add_point(static_cast<double>(w));
-  const double per_op = ops > 0 ? wall_ns / static_cast<double>(ops) : 0.0;
-  const double commit_share =
-      total_cycles > 0
-          ? static_cast<double>(commit_cycles) / static_cast<double>(total_cycles)
-          : 0.0;
-  p.set("commit_ns", per_op * commit_share);
+  const double per_op = b.ops > 0 ? b.seconds * 1e9 / static_cast<double>(b.ops) : 0.0;
+  p.set("commit_ns", per_op * b.commit_pct / 100.0);
   p.set("tx_ns", per_op);
   p.set("capacity_abort_rate",
         attempts > 0 ? capacity_aborts / static_cast<double>(attempts) : 0.0);

@@ -75,17 +75,8 @@ void run_mutating_tree(const Options& opt, report::BenchReport& rep, std::size_t
   {
     ConstantRbTree constant(domain / 2);
     TmUniverse<H> universe(universe_config(opt));
-    auto op = [&](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
-      const std::uint64_t key = rng.below(domain);
-      if (rng.percent_chance(kWritePercent)) {
-        tm.atomically(ctx, [&](auto& tx) { (void)constant.update(tx, key, rng.next_u64(), rng); });
-      } else {
-        TmWord sink = 0;
-        tm.atomically(ctx, [&](auto& tx) { (void)constant.lookup(tx, key, &sink); });
-        do_not_optimize(sink);
-      }
-    };
-    run_figure(universe, cmp, fig1_series, opt, op, true, "-const");
+    run_figure(universe, cmp, fig1_series, opt, lookup_update_op(constant, kWritePercent), true,
+               "-const");
   }
   {
     auto tree = make_populated_tree(domain);

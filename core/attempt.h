@@ -51,13 +51,11 @@ struct HwTxContext : TxContext {
 };
 
 /// One atomically() call: the trace's tx_begin, then the protocol's tier
-/// chain `run`, timed into stats.tx_cycles when breakdown timing is on.
+/// chain `run`.
 template <class Run>
 inline void transaction(TxContext& ctx, Run&& run) {
-  const std::uint64_t t0 = ctx.stats.timing ? rdtsc() : 0;
   trace::tx_begin(ctx.ring);
   run();
-  if (ctx.stats.timing) ctx.stats.tx_cycles += rdtsc() - t0;
 }
 
 /// Counts and traces one abort. The loops below use it for every attempt;

@@ -80,19 +80,11 @@ enum class AbortCause : unsigned {
   return "?";
 }
 
-/// Per-thread counters. Owned by a protocol ThreadCtx; merged by the driver.
+/// Per-thread decision counters: commits and aborts, per path and per
+/// cause. Owned by a protocol ThreadCtx; merged by the driver.
 struct TxStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
-  std::uint64_t reads = 0;   ///< counted by TimedHandle (breakdown runs only)
-  std::uint64_t writes = 0;  ///< counted by TimedHandle (breakdown runs only)
-
-  // Cycle accounting for run_breakdown(); only filled when `timing` is set.
-  std::uint64_t read_cycles = 0;
-  std::uint64_t write_cycles = 0;
-  std::uint64_t tx_cycles = 0;  ///< cycles inside atomically(), all attempts
-  bool timing = false;
-
   std::uint64_t commits_by_path[static_cast<std::size_t>(ExecPath::kCount)] = {};
   std::uint64_t attempts_by_path[static_cast<std::size_t>(ExecPath::kCount)] = {};
   std::uint64_t aborts_by_cause[static_cast<std::size_t>(AbortCause::kCount)] = {};
@@ -110,11 +102,6 @@ struct TxStats {
   void merge(const TxStats& other) {
     commits += other.commits;
     aborts += other.aborts;
-    reads += other.reads;
-    writes += other.writes;
-    read_cycles += other.read_cycles;
-    write_cycles += other.write_cycles;
-    tx_cycles += other.tx_cycles;
     for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
       commits_by_path[i] += other.commits_by_path[i];
       attempts_by_path[i] += other.attempts_by_path[i];

@@ -47,8 +47,6 @@ inline TxStats racy_snapshot(const TxStats* s) {
   };
   out.commits = ld(&s->commits);
   out.aborts = ld(&s->aborts);
-  out.reads = ld(&s->reads);
-  out.writes = ld(&s->writes);
   for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
     out.commits_by_path[i] = ld(&s->commits_by_path[i]);
     out.attempts_by_path[i] = ld(&s->attempts_by_path[i]);

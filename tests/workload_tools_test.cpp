@@ -14,7 +14,6 @@
 #include "test_common.h"
 #include "workloads/driver.h"
 #include "workloads/phase_schedule.h"
-#include "workloads/timed_handle.h"
 #include "workloads/zipf.h"
 
 namespace rhtm {
@@ -82,7 +81,7 @@ struct RecordingInner {
 
 void test_timed_handle_counts_and_attributes() {
   TmCell cell;
-  TxStats stats;
+  BreakdownCounters stats;
   RecordingInner inner;
   {
     TimedHandle<RecordingInner, true, true> h(inner, stats);
@@ -97,7 +96,7 @@ void test_timed_handle_counts_and_attributes() {
   CHECK(stats.write_cycles > 0);
 
   // Untimed flavor: same counts, zero barrier cycles by construction.
-  TxStats untimed;
+  BreakdownCounters untimed;
   RecordingInner inner2;
   TimedHandle<RecordingInner, false, false> h2(inner2, untimed);
   (void)h2.load(cell);

@@ -20,7 +20,7 @@ class ConstantHashTable {
 
   /// Stores the keys 0..n-1 (benches query keys in [0, 2n): ~50% hit rate).
   explicit ConstantHashTable(std::size_t n)
-      : bucket_mask_(bucket_count_for(n) - 1), slots_((bucket_mask_ + 1) * kBucketWidth) {
+      : n_(n), bucket_mask_(bucket_count_for(n) - 1), slots_((bucket_mask_ + 1) * kBucketWidth) {
     for (auto& s : slots_) s.key.unsafe_write(kEmptyKey);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t base = bucket_of(k) * kBucketWidth;
@@ -36,8 +36,10 @@ class ConstantHashTable {
     }
   }
 
+  [[nodiscard]] std::size_t size() const { return n_; }
+
   template <class Handle>
-  bool query(Handle& h, std::uint64_t key, TmWord* out) const {
+  bool lookup(Handle& h, std::uint64_t key, TmWord* out) const {
     const std::size_t base = bucket_of(key) * kBucketWidth;
     for (std::size_t i = 0; i < kBucketWidth; ++i) {
       const Slot& s = slots_[base + i];
@@ -86,6 +88,7 @@ class ConstantHashTable {
     return static_cast<std::size_t>(key * 0x9e3779b97f4a7c15ull >> 32) & bucket_mask_;
   }
 
+  std::size_t n_;
   std::size_t bucket_mask_;
   std::vector<Slot> slots_;
 };

@@ -44,7 +44,7 @@ class ConstantRbTree {
   /// the last node on the search path when the key is absent (the shape
   /// stays constant either way). Returns whether the key was present.
   template <class Handle>
-  bool update(Handle& h, std::uint64_t key, TmWord value, Xoshiro256& /*rng*/) const {
+  bool update(Handle& h, std::uint64_t key, TmWord value) const {
     std::int32_t i = root_;
     std::int32_t last = root_;
     while (i >= 0) {
@@ -59,6 +59,13 @@ class ConstantRbTree {
     }
     if (last >= 0) nodes_[static_cast<std::size_t>(last)].value.write(h, value);
     return false;
+  }
+
+  /// The older rng-taking call shape (rhbench's workload uses it); the rng
+  /// is unused.
+  template <class Handle>
+  bool update(Handle& h, std::uint64_t key, TmWord value, Xoshiro256& /*rng*/) const {
+    return update(h, key, value);
   }
 
  private:

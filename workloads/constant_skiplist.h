@@ -41,7 +41,7 @@ class ConstantSkipList {
 
   /// Transactional search. On hit stores the node value into *out.
   template <class Handle>
-  bool search(Handle& h, std::uint64_t key, TmWord* out) const {
+  bool lookup(Handle& h, std::uint64_t key, TmWord* out) const {
     const std::size_t i = find_floor(h, key);
     const Node& node = nodes_[i];
     if (node.key.read(h) == key) {

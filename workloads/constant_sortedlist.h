@@ -27,7 +27,7 @@ class ConstantSortedList {
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   template <class Handle>
-  bool search(Handle& h, std::uint64_t key, TmWord* out) const {
+  bool lookup(Handle& h, std::uint64_t key, TmWord* out) const {
     std::int32_t i = nodes_.empty() ? -1 : 0;
     while (i >= 0) {
       const Node& node = nodes_[static_cast<std::size_t>(i)];

@@ -1,9 +1,9 @@
 #pragma once
 
 // Measurement drivers: multi-threaded throughput, the single-thread cycle
-// breakdown (paper Fig. 2 bottom), a footprint-sweep helper for
-// capacity-path experiments, and the thread-affinity (pinning) helper the
-// NUMA/topology sweeps build on.
+// breakdown (paper Fig. 2 bottom) with its TimedHandle, a footprint-sweep
+// helper for capacity-path experiments, and the thread-affinity (pinning)
+// helper the NUMA/topology sweeps build on.
 
 #include <atomic>
 #include <chrono>
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -198,11 +199,6 @@ double run_worker_pool(Tm& tm, unsigned threads, PinMode pin, Body&& body) {
   TxStats d = now;
   d.commits -= before.commits;
   d.aborts -= before.aborts;
-  d.reads -= before.reads;
-  d.writes -= before.writes;
-  d.read_cycles -= before.read_cycles;
-  d.write_cycles -= before.write_cycles;
-  d.tx_cycles -= before.tx_cycles;
   for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
     d.commits_by_path[i] -= before.commits_by_path[i];
     d.attempts_by_path[i] -= before.attempts_by_path[i];
@@ -247,6 +243,58 @@ ThroughputResult run_throughput(Tm& tm, unsigned threads, double seconds, Op&& o
   return r;
 }
 
+// -------------------------------------------------- single-thread breakdown --
+
+/// What one breakdown run counts besides the protocol's TxStats.
+/// TimedHandle fills the access and barrier fields, run_breakdown the
+/// transaction and body spans.
+struct BreakdownCounters {
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t read_cycles = 0;   ///< inside timed read barriers
+  std::uint64_t write_cycles = 0;  ///< inside timed write barriers
+  std::uint64_t body_cycles = 0;   ///< inside the transaction body, all attempts
+  std::uint64_t tx_cycles = 0;     ///< inside atomically(), all attempts
+};
+
+/// A transparent wrapper over any protocol handle that counts every access
+/// and (per template flags) attributes its rdtsc span to the read/write
+/// barrier buckets. A path whose accesses are not timed (kTimeReads /
+/// kTimeWrites = false) reports zero barrier time by construction; its
+/// accesses land in "private" time.
+template <class Inner, bool kTimeReads, bool kTimeWrites>
+class TimedHandle {
+ public:
+  TimedHandle(Inner& inner, BreakdownCounters& counters) : inner_(inner), c_(counters) {}
+
+  TmWord load(const TmCell& c) {
+    ++c_.reads;
+    if constexpr (kTimeReads) {
+      const std::uint64_t t0 = rdtsc();
+      const TmWord v = inner_.load(c);
+      c_.read_cycles += rdtsc() - t0;
+      return v;
+    } else {
+      return inner_.load(c);
+    }
+  }
+
+  void store(TmCell& c, TmWord v) {
+    ++c_.writes;
+    if constexpr (kTimeWrites) {
+      const std::uint64_t t0 = rdtsc();
+      inner_.store(c, v);
+      c_.write_cycles += rdtsc() - t0;
+    } else {
+      inner_.store(c, v);
+    }
+  }
+
+ private:
+  Inner& inner_;
+  BreakdownCounters& c_;
+};
+
 /// Single-thread cycle breakdown (paper Fig. 2 bottom). Percentages follow
 /// the paper's table semantics: read/write = time inside the access
 /// barriers (zero by construction for barrier-free paths), commit = begin/
@@ -261,47 +309,69 @@ struct BreakdownResult {
   double intertx_pct = 0;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t commits = 0;
+  std::uint64_t ops = 0;  ///< transactions in the measured window
+  double seconds = 0;     ///< wall-clock length of the window
+  TxStats stats;          ///< the window's decision counters
 };
 
-/// `fn(tm, ctx, rng, stats, body_cycles)` must run one transaction through a
-/// TimedHandle, accumulating the rdtsc span of each body execution into
-/// `body_cycles` (see bench/fig2_breakdown.cpp).
-template <class Tm, class Fn>
-BreakdownResult run_breakdown(Tm& tm, double seconds, Fn&& fn) {
+/// Runs single-threaded transactions for `seconds` and attributes their
+/// cycles. Per transaction, `prepare(rng)` draws the inputs outside the
+/// transaction (their cost lands in intertx) and returns the body
+/// `body(handle)`, which runs inside tm.atomically through a TimedHandle
+/// that times reads when kTimeReads and writes when kTimeWrites. One
+/// untimed warm-up transaction (first touch, lazy growth) precedes the
+/// window.
+template <bool kTimeReads, bool kTimeWrites, class Tm, class Prepare>
+BreakdownResult run_breakdown(Tm& tm, double seconds, Prepare&& prepare) {
+  using clock = std::chrono::steady_clock;
   typename Tm::ThreadCtx ctx(tm);
-  ctx.stats.timing = true;
   Xoshiro256 rng(0x9e3779b97f4a7c15ull);
-  std::uint64_t body_cycles = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
-  const std::uint64_t c0 = rdtsc();
-  do {
-    fn(tm, ctx, rng, ctx.stats, body_cycles);
-  } while (std::chrono::steady_clock::now() < deadline);
-  const std::uint64_t total = rdtsc() - c0;
+  BreakdownCounters c;
+  const auto one_tx = [&] {
+    auto body = prepare(rng);
+    const std::uint64_t t0 = rdtsc();
+    tm.atomically(ctx, [&](auto& tx) {
+      const std::uint64_t b0 = rdtsc();
+      TimedHandle<std::decay_t<decltype(tx)>, kTimeReads, kTimeWrites> timed(tx, c);
+      body(timed);
+      c.body_cycles += rdtsc() - b0;
+    });
+    c.tx_cycles += rdtsc() - t0;
+  };
+  one_tx();
+  c = {};
+  const TxStats before = ctx.stats;
 
-  const TxStats& s = ctx.stats;
   BreakdownResult b;
+  const auto start = clock::now();
+  const auto deadline = start + std::chrono::duration<double>(seconds);
+  const std::uint64_t c0 = rdtsc();
+  auto now = start;
+  do {
+    one_tx();
+    ++b.ops;
+    now = clock::now();
+  } while (now < deadline);
+  const std::uint64_t total = rdtsc() - c0;
+  b.seconds = std::chrono::duration<double>(now - start).count();
+
   if (total > 0) {
     const auto pct = [&](std::uint64_t cycles) {
       return 100.0 * static_cast<double>(cycles) / static_cast<double>(total);
     };
-    const std::uint64_t barrier = s.read_cycles + s.write_cycles;
-    const std::uint64_t commit = s.tx_cycles > body_cycles ? s.tx_cycles - body_cycles : 0;
-    const std::uint64_t priv = body_cycles > barrier ? body_cycles - barrier : 0;
-    const std::uint64_t intertx = total > s.tx_cycles ? total - s.tx_cycles : 0;
-    b.read_pct = pct(s.read_cycles);
-    b.write_pct = pct(s.write_cycles);
+    const std::uint64_t barrier = c.read_cycles + c.write_cycles;
+    const std::uint64_t commit = c.tx_cycles > c.body_cycles ? c.tx_cycles - c.body_cycles : 0;
+    const std::uint64_t priv = c.body_cycles > barrier ? c.body_cycles - barrier : 0;
+    const std::uint64_t intertx = total > c.tx_cycles ? total - c.tx_cycles : 0;
+    b.read_pct = pct(c.read_cycles);
+    b.write_pct = pct(c.write_cycles);
     b.commit_pct = pct(commit);
     b.private_pct = pct(priv);
     b.intertx_pct = pct(intertx);
   }
-  b.reads = s.reads;
-  b.writes = s.writes;
-  b.aborts = s.aborts;
-  b.commits = s.commits;
+  b.reads = c.reads;
+  b.writes = c.writes;
+  b.stats = tx_stats_delta(ctx.stats, before);
   return b;
 }
 
