@@ -28,21 +28,9 @@ struct Row {
 template <bool kTimeReads, bool kTimeWrites, class Tm>
 Row measure_row(const char* name, Tm& tm, double secs, const ConstantRbTree& tree,
                 unsigned write_percent) {
-  const BreakdownResult breakdown =
-      run_breakdown<kTimeReads, kTimeWrites>(tm, secs, [&](Xoshiro256& rng) {
-        const std::uint64_t key = rng.below(2 * tree.size());
-        const bool is_write = rng.percent_chance(write_percent);
-        return [&tree, &rng, key, is_write](auto& h) {
-          if (is_write) {
-            (void)tree.update(h, key, rng.next_u64());
-          } else {
-            TmWord sink = 0;
-            (void)tree.lookup(h, key, &sink);
-            do_not_optimize(sink);
-          }
-        };
-      });
-  const ThroughputResult plain = run_throughput(tm, 1, secs, lookup_update_op(tree, write_percent));
+  const auto op = lookup_update_op(tree, write_percent);
+  const BreakdownResult breakdown = run_breakdown<kTimeReads, kTimeWrites>(tm, secs, op);
+  const ThroughputResult plain = run_throughput(tm, 1, secs, op);
   return {name, breakdown,
           plain.seconds > 0 ? static_cast<double>(plain.total_ops) / plain.seconds : 0.0};
 }

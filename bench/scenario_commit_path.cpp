@@ -36,32 +36,31 @@ const std::size_t kWriteSizes[] = {4, 16, 64, 128, 256, 1024};
 
 /// One transaction: 2W zipfian reads of the hot set (duplicate-stripe
 /// heavy), then W distinct-cell writes.
-template <class Tx>
-void commit_path_body(Tx& tx, const std::vector<TVar<TmWord>>& reads,
-                      const std::vector<TVar<TmWord>>& writes, const ZipfianGenerator& zipf,
-                      Xoshiro256& rng, std::size_t w) {
-  TmWord sum = 0;
-  for (std::size_t i = 0; i < 2 * w; ++i) {
-    sum += reads[zipf.next(rng)].read(tx);
-  }
-  for (std::size_t i = 0; i < w; ++i) {
-    writes[i].write(tx, sum + i);
-  }
-  do_not_optimize(sum);
+auto commit_path_op(const std::vector<TVar<TmWord>>& reads,
+                    const std::vector<TVar<TmWord>>& writes, const ZipfianGenerator& zipf,
+                    std::size_t w) {
+  return [&reads, &writes, &zipf, w](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
+    tm.atomically(ctx, [&](auto& tx) {
+      TmWord sum = 0;
+      for (std::size_t i = 0; i < 2 * w; ++i) {
+        sum += reads[zipf.next(rng)].read(tx);
+      }
+      for (std::size_t i = 0; i < w; ++i) {
+        writes[i].write(tx, sum + i);
+      }
+      do_not_optimize(sum);
+    });
+  };
 }
 
 /// Single-thread timed window for one (series, W) point: wall-clock ns per
 /// transaction, the commit share of it (run_breakdown's cycle
 /// attribution), and the capacity-abort rate over all hardware commit
 /// attempts in the window.
-template <class Tm>
-void time_commit_point(report::SeriesData& series, Tm& tm, double seconds,
-                       const std::vector<TVar<TmWord>>& reads,
-                       const std::vector<TVar<TmWord>>& writes,
-                       const ZipfianGenerator& zipf, std::size_t w) {
-  const BreakdownResult b = run_breakdown<false, false>(tm, seconds, [&](Xoshiro256& rng) {
-    return [&](auto& h) { commit_path_body(h, reads, writes, zipf, rng, w); };
-  });
+template <class Tm, class Op>
+void time_commit_point(report::SeriesData& series, Tm& tm, double seconds, const Op& op,
+                       std::size_t w) {
+  const BreakdownResult b = run_breakdown<false, false>(tm, seconds, op);
   const TxStats& d = b.stats;
   std::uint64_t attempts = 0;
   for (const std::uint64_t a : d.attempts_by_path) attempts += a;
@@ -103,21 +102,22 @@ void run_commit_path(const Options& opt, report::BenchReport& rep) {
   report::SeriesData& rh1_series = lat.add_series("RH1-Slow");
   report::SeriesData& rh2_series = lat.add_series("RH2");
   for (const std::size_t w : kWriteSizes) {
+    const auto op = commit_path_op(reads, writes, zipf, w);
     {
       Tl2<H> tm(universe);
-      time_commit_point(tl2_series, tm, opt.seconds, reads, writes, zipf, w);
+      time_commit_point(tl2_series, tm, opt.seconds, op, w);
     }
     {
       typename HybridTm<H>::Config cfg;
       cfg.force_slow_path = true;  // software body + reduced hardware commit
       HybridTm<H> tm(universe, cfg);
-      time_commit_point(rh1_series, tm, opt.seconds, reads, writes, zipf, w);
+      time_commit_point(rh1_series, tm, opt.seconds, op, w);
     }
     {
       typename HybridTm<H>::Config cfg;
       cfg.force_rh2 = true;  // visible reads + write-set-only hardware commit
       HybridTm<H> tm(universe, cfg);
-      time_commit_point(rh2_series, tm, opt.seconds, reads, writes, zipf, w);
+      time_commit_point(rh2_series, tm, opt.seconds, op, w);
     }
   }
 
@@ -131,10 +131,7 @@ void run_commit_path(const Options& opt, report::BenchReport& rep) {
   report::SeriesData& thr_fast = thr.add_series("RH1-Fast");
   report::SeriesData& thr_mix = thr.add_series("RH1-Mix100");
   for (const std::size_t w : kWriteSizes) {
-    auto op = [&](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
-      tm.atomically(ctx,
-                    [&](auto& tx) { commit_path_body(tx, reads, writes, zipf, rng, w); });
-    };
+    const auto op = commit_path_op(reads, writes, zipf, w);
     const auto [inject_bp, tl2_result] =
         calibrate_tl2(sweep_universe, kSweepThreads, opt.calib_seconds, op, opt.pin);
     fill_point(thr_tl2.add_point(static_cast<double>(w)), tl2_result);

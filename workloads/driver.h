@@ -314,21 +314,15 @@ struct BreakdownResult {
   TxStats stats;          ///< the window's decision counters
 };
 
-/// Runs single-threaded transactions for `seconds` and attributes their
-/// cycles. Per transaction, `prepare(rng)` draws the inputs outside the
-/// transaction (their cost lands in intertx) and returns the body
-/// `body(handle)`, which runs inside tm.atomically through a TimedHandle
-/// that times reads when kTimeReads and writes when kTimeWrites. One
-/// untimed warm-up transaction (first touch, lazy growth) precedes the
-/// window.
-template <bool kTimeReads, bool kTimeWrites, class Tm, class Prepare>
-BreakdownResult run_breakdown(Tm& tm, double seconds, Prepare&& prepare) {
-  using clock = std::chrono::steady_clock;
-  typename Tm::ThreadCtx ctx(tm);
-  Xoshiro256 rng(0x9e3779b97f4a7c15ull);
-  BreakdownCounters c;
-  const auto one_tx = [&] {
-    auto body = prepare(rng);
+/// The protocol as run_breakdown hands it to an op: atomically() times the
+/// whole call and the body, and runs the body through a TimedHandle.
+template <class Tm, bool kTimeReads, bool kTimeWrites>
+struct TimedTm {
+  Tm& tm;
+  BreakdownCounters& c;
+
+  template <class Body>
+  void atomically(typename Tm::ThreadCtx& ctx, Body&& body) {
     const std::uint64_t t0 = rdtsc();
     tm.atomically(ctx, [&](auto& tx) {
       const std::uint64_t b0 = rdtsc();
@@ -337,8 +331,22 @@ BreakdownResult run_breakdown(Tm& tm, double seconds, Prepare&& prepare) {
       c.body_cycles += rdtsc() - b0;
     });
     c.tx_cycles += rdtsc() - t0;
-  };
-  one_tx();
+  }
+};
+
+/// Runs `op(tm, ctx, rng, tid)` — the one-transaction op run_throughput
+/// drives — single-threaded for `seconds` and attributes its cycles. What
+/// the op does outside atomically() (its input draws) lands in intertx;
+/// reads are timed when kTimeReads, writes when kTimeWrites. One untimed
+/// warm-up transaction (first touch, lazy growth) precedes the window.
+template <bool kTimeReads, bool kTimeWrites, class Tm, class Op>
+BreakdownResult run_breakdown(Tm& tm, double seconds, Op&& op) {
+  using clock = std::chrono::steady_clock;
+  typename Tm::ThreadCtx ctx(tm);
+  Xoshiro256 rng(0x9e3779b97f4a7c15ull);
+  BreakdownCounters c;
+  TimedTm<Tm, kTimeReads, kTimeWrites> timed{tm, c};
+  op(timed, ctx, rng, 0u);
   c = {};
   const TxStats before = ctx.stats;
 
@@ -348,7 +356,7 @@ BreakdownResult run_breakdown(Tm& tm, double seconds, Prepare&& prepare) {
   const std::uint64_t c0 = rdtsc();
   auto now = start;
   do {
-    one_tx();
+    op(timed, ctx, rng, 0u);
     ++b.ops;
     now = clock::now();
   } while (now < deadline);
