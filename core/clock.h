@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/cell.h"
+#include "core/sharded_counter.h"
 #include "core/topology.h"
 
 namespace rhtm {
@@ -137,7 +138,7 @@ class GlobalVersionClock {
   void publish_home() {
     if (!cached()) return;
     lift_cache(home_socket(), cell_.word.load(std::memory_order_acquire));
-    local_publishes_.fetch_add(1, std::memory_order_relaxed);
+    local_publishes_.fetch_add(1);
   }
 
   /// Bookkeeping hook for a hardware commit that stamped stripes: in modes
@@ -153,13 +154,10 @@ class GlobalVersionClock {
   }
 
   /// Writes that hit the shared global cell (every socket pays coherence).
-  [[nodiscard]] std::uint64_t global_publishes() const {
-    return global_publishes_.load(std::memory_order_relaxed);
-  }
+  /// Both tallies are per-thread slots: exact once the committers quiesce.
+  [[nodiscard]] std::uint64_t global_publishes() const { return global_publishes_.load(); }
   /// Socket-local cache refreshes (cached mode only).
-  [[nodiscard]] std::uint64_t local_publishes() const {
-    return local_publishes_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t local_publishes() const { return local_publishes_.load(); }
 
  private:
   struct alignas(64) SocketCache {
@@ -181,16 +179,14 @@ class GlobalVersionClock {
     }
   }
 
-  void count_global_publish() {
-    global_publishes_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void count_global_publish() { global_publishes_.fetch_add(1); }
 
   GvMode mode_;
   const Topology* topo_ = nullptr;
   TmCell cell_;
   std::vector<SocketCache> caches_;
-  alignas(64) std::atomic<std::uint64_t> global_publishes_{0};
-  std::atomic<std::uint64_t> local_publishes_{0};
+  ShardedCounter global_publishes_;
+  ShardedCounter local_publishes_;
 };
 
 }  // namespace rhtm

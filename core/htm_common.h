@@ -193,8 +193,11 @@ class PublicationSeqlock {
 
   [[nodiscard]] TmWord epoch() const { return epoch_.load(std::memory_order_acquire); }
 
+  /// Test-and-test-and-set: waiters spin on a plain load, not the exchange.
   void lock() {
-    while (lock_.exchange(1, std::memory_order_acquire) != 0) cpu_relax();
+    while (lock_.exchange(1, std::memory_order_acquire) != 0) {
+      while (lock_.load(std::memory_order_relaxed) != 0) cpu_relax();
+    }
   }
   void unlock() { lock_.store(0, std::memory_order_release); }
 

@@ -9,11 +9,13 @@
 //  * persist fences — pwb (write-back one modified element), pfence (order
 //    preceding write-backs), psync (drain to the durability point). Counted
 //    no-ops: on real NVM these are CLWB/SFENCE; here each call bumps a
-//    counter in the region header, so benches report fences-per-commit and
-//    the zero-overhead contract of non-durable mode is testable. The pwb
-//    counter models one write-back per *logged element* (a 16-byte
-//    addr/value pair or record header, each within one cache line), not
-//    physical 64-byte-line dedup.
+//    tally in the region header, so benches report fences-per-commit and
+//    the zero-overhead contract of non-durable mode is testable. Each tally
+//    is a ShardedCounter: per-thread slots, summed on read and exact at
+//    quiescence, so counting does not contend where the modelled fence
+//    would not. The pwb counter models one write-back per *logged element*
+//    (a 16-byte addr/value pair or record header, each within one cache
+//    line), not physical 64-byte-line dedup.
 //
 //  * redo log — the only crash-atomic structure. Every durable commit
 //    appends one data record (txid + the write-set's absolute addr/value
@@ -74,6 +76,7 @@
 #endif
 
 #include "core/cell.h"
+#include "core/sharded_counter.h"
 #include "core/trace.h"
 
 namespace rhtm {
@@ -92,9 +95,9 @@ inline constexpr int kKillExitCode = 42;
 // Process-global fence tallies across every PersistentDomain — the
 // leak detector: non-durable workloads must leave all three untouched
 // (tests/durable_mode_test.cpp).
-inline std::atomic<std::uint64_t> g_total_pwb{0};
-inline std::atomic<std::uint64_t> g_total_pfence{0};
-inline std::atomic<std::uint64_t> g_total_psync{0};
+inline ShardedCounter g_total_pwb;
+inline ShardedCounter g_total_pfence;
+inline ShardedCounter g_total_psync;
 
 /// The durable commit paths. Each name prefixes that path's kill points and
 /// tags its log records' provenance in test output. The RH2 slow-slow
@@ -177,14 +180,18 @@ class PersistentDomain {
   static constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kTagShift) - 1;
 
   struct Header {
-    std::atomic<std::uint64_t> pwb{0};
-    std::atomic<std::uint64_t> pfence{0};
-    std::atomic<std::uint64_t> psync{0};
-    std::atomic<std::uint64_t> log_head{0};  ///< published words; scan stops here
+    // Append state, on a cache line of its own.
+    alignas(64) std::atomic<std::uint64_t> log_head{0};  ///< published words; scan stops here
     std::atomic<std::uint64_t> next_txid{1};
     std::atomic<std::uint32_t> log_lock{0};  ///< append spinlock (never taken by recovery)
     std::atomic<std::uint32_t> log_overflow{0};
+    // Fence tallies: every slot on its own line, so no counter shares one
+    // with the append state or with another thread's slot.
+    ShardedCounter pwb;
+    ShardedCounter pfence;
+    ShardedCounter psync;
   };
+  static_assert(offsetof(Header, pwb) >= 64, "append state must own its cache line");
 
   struct ImageSlot {
     std::atomic<std::uint64_t> addr{0};  ///< 0 = empty
@@ -197,7 +204,7 @@ class PersistentDomain {
         bytes_(sizeof(Header) + cfg.image_slots * sizeof(ImageSlot) +
                cfg.log_words * sizeof(std::uint64_t)) {
 #if defined(_WIN32)
-    base_ = ::operator new(bytes_);
+    base_ = ::operator new(bytes_, std::align_val_t{alignof(Header)});
     std::memset(base_, 0, bytes_);
 #else
     base_ = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
@@ -218,7 +225,7 @@ class PersistentDomain {
 
   ~PersistentDomain() {
 #if defined(_WIN32)
-    ::operator delete(base_);
+    ::operator delete(base_, std::align_val_t{alignof(Header)});
 #else
     munmap(base_, bytes_);
 #endif
@@ -226,22 +233,22 @@ class PersistentDomain {
 
   // ------------------------------------------------------- persist fences --
   void pwb(const void* /*addr*/) {
-    header().pwb.fetch_add(1, std::memory_order_relaxed);
-    pmem::g_total_pwb.fetch_add(1, std::memory_order_relaxed);
+    header().pwb.fetch_add(1);
+    pmem::g_total_pwb.fetch_add(1);
   }
   void pfence() {
-    header().pfence.fetch_add(1, std::memory_order_relaxed);
-    pmem::g_total_pfence.fetch_add(1, std::memory_order_relaxed);
+    header().pfence.fetch_add(1);
+    pmem::g_total_pfence.fetch_add(1);
   }
   void psync() {
-    header().psync.fetch_add(1, std::memory_order_relaxed);
-    pmem::g_total_psync.fetch_add(1, std::memory_order_relaxed);
+    header().psync.fetch_add(1);
+    pmem::g_total_psync.fetch_add(1);
   }
 
+  /// Exact once the committing threads have quiesced.
   [[nodiscard]] FenceCounts fence_counts() const {
     const Header& h = header();
-    return {h.pwb.load(std::memory_order_relaxed), h.pfence.load(std::memory_order_relaxed),
-            h.psync.load(std::memory_order_relaxed)};
+    return {h.pwb.load(), h.pfence.load(), h.psync.load()};
   }
 
   // -------------------------------------------- the durable commit phases --
@@ -466,6 +473,7 @@ class PersistentDomain {
   [[nodiscard]] std::uint64_t* reserve_and_lock(std::size_t words) {
     Header& h = header();
     while (h.log_lock.exchange(1, std::memory_order_acquire) != 0) {
+      while (h.log_lock.load(std::memory_order_relaxed) != 0) detail::cpu_relax();
     }
     const std::uint64_t head = h.log_head.load(std::memory_order_relaxed);
     if (head + words > cfg_.log_words) {

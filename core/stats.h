@@ -146,11 +146,17 @@ inline void cpu_relax() {
 #endif
 }
 
+inline constexpr std::uint64_t kFirstCtxSeed = 0x2545f4914f6cdd1dull;
+inline std::atomic<std::uint64_t> g_ctx_seed{kFirstCtxSeed};
+
 /// Distinct seed for each protocol ThreadCtx RNG (deterministic sequence).
 inline std::uint64_t next_ctx_seed() {
-  static std::atomic<std::uint64_t> counter{0x2545f4914f6cdd1dull};
-  return counter.fetch_add(0x9e3779b97f4a7c15ull, std::memory_order_relaxed);
+  return g_ctx_seed.fetch_add(0x9e3779b97f4a7c15ull, std::memory_order_relaxed);
 }
+
+/// Restarts the ctx seed sequence, so a single-threaded replay repeated in
+/// one process sees the same seeds as a fresh process.
+inline void reset_ctx_seeds() { g_ctx_seed.store(kFirstCtxSeed, std::memory_order_relaxed); }
 
 }  // namespace detail
 

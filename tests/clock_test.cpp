@@ -1,5 +1,5 @@
-// Global version clock: per-mode semantics, monotonicity, and concurrent
-// uniqueness under GV1.
+// Global version clock: per-mode semantics, monotonicity, concurrent
+// uniqueness under GV1, and exact publish tallies across threads.
 
 #include <algorithm>
 #include <atomic>
@@ -39,6 +39,26 @@ void gv1_concurrent_unique() {
   CHECK_EQ(all.size(), static_cast<std::size_t>(kThreads) * kPerThread);
   CHECK(std::adjacent_find(all.begin(), all.end()) == all.end());  // all unique
   CHECK_EQ(clock.read(), static_cast<TmWord>(kThreads) * kPerThread);
+}
+
+// Each GV1 next() and each stamping hardware commit is one global publish;
+// the per-thread tally must sum to exactly that once the workers join.
+void gv1_publish_tally_exact() {
+  GlobalVersionClock clock(GvMode::kGv1);
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kPerThread = 20000;
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      for (unsigned i = 0; i < kPerThread; ++i) {
+        (void)clock.next();
+        clock.note_hw_commit();
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  CHECK_EQ(clock.global_publishes(), std::uint64_t{2} * kThreads * kPerThread);
+  CHECK_EQ(clock.local_publishes(), 0u);
 }
 
 void gv4_batches() {
@@ -93,6 +113,7 @@ int main() {
   return rhtm::test::run_tests({
       TestCase{"gv1_sequential", rhtm::gv1_sequential},
       TestCase{"gv1_concurrent_unique", rhtm::gv1_concurrent_unique},
+      TestCase{"gv1_publish_tally_exact", rhtm::gv1_publish_tally_exact},
       TestCase{"gv4_batches", rhtm::gv4_batches},
       TestCase{"gv6_quiet", rhtm::gv6_quiet},
       TestCase{"gv1_gv4_on_abort_noop", rhtm::gv1_gv4_on_abort_noop},

@@ -10,7 +10,8 @@
 //    every durable path; read-only transactions cost zero.
 //  * durable == recovered — after a concurrent durable run (no crash),
 //    prefix-replaying the redo log reproduces the live in-memory state
-//    exactly, the durable image agrees, and nothing is discarded.
+//    exactly, the durable image agrees, and nothing is discarded; the
+//    per-thread fence tallies sum to exactly 6 / 2 / 1 per logged commit.
 //  * redo-log semantics — an unmarked record is discarded by recovery, a
 //    marked one is replayed into the image, recovery is idempotent.
 //  * durable routing — PhasedTm and StandardHytm route durable universes
@@ -202,6 +203,7 @@ void read_only_costs_no_fences() {
 // --------------------------------------------------- durable == recovered --
 template <class H>
 void durable_equals_recovered() {
+  const FenceTotals before = global_fences();
   UniverseConfig ucfg;
   ucfg.durable = true;
   TmUniverse<H> u(ucfg);
@@ -250,6 +252,18 @@ void durable_equals_recovered() {
     sum += bal[a];
   }
   CHECK_EQ(sum, store.total_minted());
+
+  // The per-thread fence tallies sum exactly after the join: every durable
+  // commit here writes two accounts, so 2n+2 = 6 pwb, 2 pfence, 1 psync.
+  const std::uint64_t r = txns.size();
+  const FenceCounts fc = pd.fence_counts();
+  CHECK_EQ(fc.pwb, 6 * r);
+  CHECK_EQ(fc.pfence, 2 * r);
+  CHECK_EQ(fc.psync, r);
+  const FenceTotals after = global_fences();
+  CHECK_EQ(after.pwb - before.pwb, fc.pwb);
+  CHECK_EQ(after.pfence - before.pfence, fc.pfence);
+  CHECK_EQ(after.psync - before.psync, fc.psync);
 }
 
 // ------------------------------------------------------ redo-log semantics --

@@ -203,6 +203,7 @@ struct Run {
 };
 
 std::vector<Run> run_all_cases() {
+  detail::reset_ctx_seeds();  // ThreadCtx RNGs as in a fresh process (RHTM_TEST_REPEAT)
   std::vector<Run> runs;
   std::uint64_t case_seed = 1;
   for (const CmPolicy policy : {CmPolicy::kFixed, CmPolicy::kAdaptive}) {

@@ -263,6 +263,7 @@ void test_cross_thread_merge() {
 void test_anomaly_hook() {
   static std::atomic<int> calls{0};
   static std::string last_reason;
+  calls.store(0);  // repeatable under RHTM_TEST_REPEAT
   trace::set_anomaly_hook(+[](const char* reason) {
     last_reason = reason;
     calls.fetch_add(1);
