@@ -27,6 +27,24 @@
 //    published head). Marker append order is consistent with transaction
 //    serialization because every durable protocol path holds its conflict
 //    locks (stripe locks / the NOrec sequence lock) across the marker.
+//    The txid is drawn inside the append critical section, so txids are
+//    dense and rise in log order; recovery resolves each marker to its
+//    record by txid index in one linear scan.
+//
+//  * populate-ahead window — a real persistent log is preallocated, so its
+//    appends never fault; this region is a fresh anonymous mapping whose
+//    pages fault in on first write. A fault taken inside the append lock
+//    would stall every other committer behind it (about one commit in 64
+//    opens a new 4 KiB page), so the tail latency would measure the
+//    simulation rather than the protocol. Before taking the lock,
+//    durable_log() keeps the log populated up to two kPopulateChunkWords
+//    chunks past the head: whoever sees the frontier within one chunk of
+//    the head claims the next chunk with a CAS and faults it in with
+//    madvise(MADV_POPULATE_WRITE), which writes no data and so cannot race
+//    the appenders. Where the advice is missing (non-Linux, kernels before
+//    5.14) the call does nothing and pages fault on first append as before.
+//    MAP_POPULATE is not used: it would fault in the whole log (hundreds of
+//    MiB for a benchmark-sized log) at construction.
 //
 //  * durable image — the simulated NVM data space: an open-addressed
 //    cell-address -> value table the apply phase writes back into (one pwb
@@ -182,16 +200,21 @@ class PersistentDomain {
   struct Header {
     // Append state, on a cache line of its own.
     alignas(64) std::atomic<std::uint64_t> log_head{0};  ///< published words; scan stops here
-    std::atomic<std::uint64_t> next_txid{1};
+    std::atomic<std::uint64_t> next_txid{1};  ///< written only under log_lock
     std::atomic<std::uint32_t> log_lock{0};  ///< append spinlock (never taken by recovery)
     std::atomic<std::uint32_t> log_overflow{0};
+    // Populate-ahead frontier (words), off the append line: claimed
+    // outside the lock, so its CAS never bounces the line appenders spin on.
+    alignas(64) std::atomic<std::uint64_t> log_populated{0};
     // Fence tallies: every slot on its own line, so no counter shares one
     // with the append state or with another thread's slot.
     ShardedCounter pwb;
     ShardedCounter pfence;
     ShardedCounter psync;
   };
-  static_assert(offsetof(Header, pwb) >= 64, "append state must own its cache line");
+  static_assert(offsetof(Header, log_populated) >= 64, "append state must own its cache line");
+  static_assert(offsetof(Header, pwb) >= offsetof(Header, log_populated) + 64,
+                "the populate frontier must own its cache line");
 
   struct ImageSlot {
     std::atomic<std::uint64_t> addr{0};  ///< 0 = empty
@@ -199,6 +222,10 @@ class PersistentDomain {
   };
 
  public:
+  /// Populate-ahead chunk: 64 KiB of log, so at most two chunks (128 KiB)
+  /// are resident beyond the head.
+  static constexpr std::size_t kPopulateChunkWords = (std::size_t{64} << 10) / sizeof(std::uint64_t);
+
   explicit PersistentDomain(const PmemConfig& cfg = {})
       : cfg_(cfg),
         bytes_(sizeof(Header) + cfg.image_slots * sizeof(ImageSlot) +
@@ -254,15 +281,20 @@ class PersistentDomain {
   // -------------------------------------------- the durable commit phases --
   /// Phase 1: append the data record (one pwb per element). `entries`
   /// elements expose `.cell` and `.value`. Returns the transaction id the
-  /// marker and the recovery records carry.
+  /// marker and the recovery records carry — 0, which no record carries,
+  /// when the log is full (a full log consumes no txid).
   template <class Entries>
   std::uint64_t durable_log(const Entries& entries, const char* path) {
     pmem::kill_point(path, "before_log");
     const std::size_t n = std::size(entries);
-    const std::uint64_t txid =
-        header().next_txid.fetch_add(1, std::memory_order_relaxed);
+    populate_ahead();
+    std::uint64_t txid = 0;
     std::uint64_t* rec = reserve_and_lock(2 + 2 * n);
     if (rec != nullptr) {
+      // Under the append lock: a plain load/store pair, not a shared RMW.
+      std::atomic<std::uint64_t>& next = header().next_txid;
+      txid = next.load(std::memory_order_relaxed);
+      next.store(txid + 1, std::memory_order_relaxed);
       rec[0] = (kDataTag << kTagShift) | static_cast<std::uint64_t>(n);
       rec[1] = txid;
       std::size_t i = 2;
@@ -382,7 +414,10 @@ class PersistentDomain {
 
   /// Scans the published log: committed transactions (data record + marker)
   /// sorted by marker order, plus the discard count. Read-only; safe after a
-  /// crash (never touches the append lock).
+  /// crash (never touches the append lock). Linear in the log length: data
+  /// records carry dense txids in log order, so a marker finds its record
+  /// at index txid - (first record's txid); a marker whose txid is out of
+  /// that range (or names no record before it) stays unmatched.
   [[nodiscard]] std::vector<RecoveredTxn> recover_log(std::size_t* discarded = nullptr) const {
     struct Pending {
       std::uint64_t txid;
@@ -390,7 +425,7 @@ class PersistentDomain {
       bool marked = false;
       std::vector<RecoveredEntry> entries;
     };
-    std::vector<Pending> seen;
+    std::vector<Pending> seen;  // data records in log order
     const std::uint64_t head = header().log_head.load(std::memory_order_acquire);
     std::uint64_t pos = 0;
     while (pos + 2 <= head) {
@@ -409,11 +444,11 @@ class PersistentDomain {
         pos += 2 + 2 * n;
       } else if (tag == kMarkTag) {
         const std::uint64_t txid = log_[pos + 1];
-        for (Pending& p : seen) {
-          if (p.txid == txid) {
-            p.marked = true;
-            p.marker_pos = pos;
-            break;
+        if (!seen.empty()) {
+          const std::uint64_t idx = txid - seen.front().txid;  // wraps when txid is below
+          if (idx < seen.size() && seen[idx].txid == txid) {
+            seen[idx].marked = true;
+            seen[idx].marker_pos = pos;
           }
         }
         pos += 2;
@@ -460,9 +495,38 @@ class PersistentDomain {
     return header().log_overflow.load(std::memory_order_relaxed) != 0;
   }
 
+  /// The populate-ahead frontier, in log words: the log below it has been
+  /// faulted in (or the advice was unavailable).
+  [[nodiscard]] std::uint64_t log_populated() const {
+    return header().log_populated.load(std::memory_order_relaxed);
+  }
+
  private:
   [[nodiscard]] Header& header() { return *static_cast<Header*>(base_); }
   [[nodiscard]] const Header& header() const { return *static_cast<const Header*>(base_); }
+
+  /// Keeps the log faulted in ahead of the head, outside the append lock
+  /// (see the header comment). At most one thread wins each chunk's CAS;
+  /// the losers and everyone else append without waiting for it.
+  void populate_ahead() {
+    Header& h = header();
+    std::uint64_t frontier = h.log_populated.load(std::memory_order_relaxed);
+    if (frontier >= cfg_.log_words ||
+        frontier > h.log_head.load(std::memory_order_relaxed) + kPopulateChunkWords) {
+      return;
+    }
+    const std::uint64_t next =
+        std::min<std::uint64_t>(frontier + kPopulateChunkWords, cfg_.log_words);
+    if (!h.log_populated.compare_exchange_strong(frontier, next, std::memory_order_relaxed)) {
+      return;
+    }
+#if defined(MADV_POPULATE_WRITE)
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    const auto begin = reinterpret_cast<std::uintptr_t>(log_ + frontier) & ~(page - 1);
+    const auto end = reinterpret_cast<std::uintptr_t>(log_ + next);
+    (void)madvise(reinterpret_cast<void*>(begin), end - begin, MADV_POPULATE_WRITE);
+#endif
+  }
 
   /// Takes the append lock and returns the record's slot, or nullptr when
   /// the log is full (overflow is sticky and visible; the simulation does

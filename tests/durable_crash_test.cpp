@@ -9,6 +9,10 @@
 //    N from after_mark on), the crashed transaction's unmarked record is
 //    discarded only at after_log, replaying into the parent's pristine
 //    cells reproduces the sequential oracle balances, and sum == minted.
+//    A long-log leg repeats the after_log and after_mark points of every
+//    path with the crash landing after the log spans several populate-ahead
+//    chunks, so no torn record or marker ever reaches recovery from a
+//    page the window faulted in ahead of the head.
 //
 //  * randomized concurrent oracle — 4 threads of random transfers, a crash
 //    at a random kill point / hit count; the recovered log must be a legal
@@ -53,6 +57,12 @@ constexpr std::size_t kAccounts = 4;
 constexpr TmWord kInitial = 100;
 constexpr int kTxnsPerChild = 8;
 constexpr int kKillHit = 3;  // crash inside the 3rd commit's persist sequence
+
+// The long-log leg: a 2-write transfer appends 8 log words, so the crash
+// lands after the log spans more than three populate-ahead chunks.
+constexpr int kLongKillHit =
+    static_cast<int>(3 * PersistentDomain::kPopulateChunkWords / 8) + 100;
+constexpr int kLongTxnsPerChild = kLongKillHit + 16;
 
 struct Plan {
   std::uint64_t from, to;
@@ -121,7 +131,7 @@ void run_path_txns(TmUniverse<H>& u, const char* path, const AccountStore& store
 }
 
 /// `strict` = deterministic substrate (sim): every commit provably takes the
-/// forced path, so the kill MUST fire at the kKillHit-th commit and the
+/// forced path, so the kill MUST fire at the kill_hit-th commit and the
 /// committed/discarded counts are exact. On real RTM, spurious hardware
 /// aborts (classified capacity) can spill commits onto a sibling durable
 /// path, so the armed point's hit count no longer indexes the plan — the
@@ -130,8 +140,9 @@ void run_path_txns(TmUniverse<H>& u, const char* path, const AccountStore& store
 /// single-threaded plan, at most one in-flight record is discarded, and
 /// recovery reproduces exactly that prefix.
 template <class H>
-void kill_point_sweep(bool strict) {
-  for (const KillPoint& kp : crash::all_kill_points()) {
+void kill_point_sweep(bool strict, const std::vector<KillPoint>& points, int kill_hit,
+                      int txns_per_child) {
+  for (const KillPoint& kp : points) {
     UniverseConfig ucfg;
     ucfg.durable = true;
     TmUniverse<H> u(ucfg);
@@ -139,8 +150,8 @@ void kill_point_sweep(bool strict) {
     const std::string name = kp.name();
 
     const ChildOutcome outcome = crash::run_crash_child([&] {
-      pmem::arm_kill(name.c_str(), kKillHit);
-      run_path_txns(u, kp.path, store, kTxnsPerChild);
+      pmem::arm_kill(name.c_str(), kill_hit);
+      run_path_txns(u, kp.path, store, txns_per_child);
     });
     CHECK(outcome != ChildOutcome::kFailed);
     if (strict) {
@@ -156,13 +167,13 @@ void kill_point_sweep(bool strict) {
     std::size_t discarded = 0;
     const auto txns = pd.recover_log(&discarded);
     CHECK(!pd.log_overflowed());
-    CHECK(txns.size() <= static_cast<std::size_t>(kTxnsPerChild));
+    CHECK(txns.size() <= static_cast<std::size_t>(txns_per_child));
     CHECK(discarded <= 1);
     if (strict && outcome == ChildOutcome::kKilled) {
-      // The committed prefix: the crashed (kKillHit-th) commit is durable
+      // The committed prefix: the crashed (kill_hit-th) commit is durable
       // iff its marker phase was reached.
       const std::size_t expect_committed =
-          static_cast<std::size_t>(kKillHit) - (kp.durable_phase() ? 0 : 1);
+          static_cast<std::size_t>(kill_hit) - (kp.durable_phase() ? 0 : 1);
       const std::size_t expect_discarded = kp.leaves_unmarked_record() ? 1 : 0;
       CHECK_EQ(txns.size(), expect_committed);
       CHECK_EQ(discarded, expect_discarded);
@@ -321,13 +332,32 @@ void concurrent_recovery_oracle() {
   }
 }
 
-void test_sweep_sim() { kill_point_sweep<HtmSim>(/*strict=*/true); }
+/// Every path's after_log and after_mark points: the phases whose crash
+/// leaves the newest record or marker at the very end of the log.
+std::vector<KillPoint> log_tail_kill_points() {
+  std::vector<KillPoint> points;
+  for (const KillPoint& kp : crash::all_kill_points()) {
+    if (kp.leaves_unmarked_record() || kp.phase_index == pmem::kFirstDurablePhase) {
+      points.push_back(kp);
+    }
+  }
+  return points;
+}
+
+void test_sweep_sim() {
+  kill_point_sweep<HtmSim>(/*strict=*/true, crash::all_kill_points(), kKillHit, kTxnsPerChild);
+}
+void test_long_log_sweep_sim() {
+  kill_point_sweep<HtmSim>(/*strict=*/true, log_tail_kill_points(), kLongKillHit,
+                           kLongTxnsPerChild);
+}
 void test_concurrent_sim() { concurrent_recovery_oracle<HtmSim>(); }
 
 void test_sweep_rtm_when_viable() {
 #if defined(__RTM__)
   if (HtmRtm::hardware_viable()) {
-    kill_point_sweep<HtmRtm>(/*strict=*/false);
+    kill_point_sweep<HtmRtm>(/*strict=*/false, crash::all_kill_points(), kKillHit,
+                             kTxnsPerChild);
     return;
   }
 #endif
@@ -351,6 +381,7 @@ int main() {
   using rhtm::test::TestCase;
   return rhtm::test::run_tests({
       {"kill_point_sweep_every_path_sim", rhtm::test_sweep_sim},
+      {"kill_point_sweep_long_log_sim", rhtm::test_long_log_sweep_sim},
       {"concurrent_recovery_oracle_sim", rhtm::test_concurrent_sim},
       {"kill_point_sweep_rtm_when_viable", rhtm::test_sweep_rtm_when_viable},
       {"concurrent_recovery_oracle_rtm_when_viable", rhtm::test_concurrent_rtm_when_viable},

@@ -14,6 +14,14 @@
 //    per-thread fence tallies sum to exactly 6 / 2 / 1 per logged commit.
 //  * redo-log semantics — an unmarked record is discarded by recovery, a
 //    marked one is replayed into the image, recovery is idempotent.
+//  * linear recovery — a 10^5-record log with out-of-order, missing,
+//    premature and out-of-range markers recovers exactly the marked
+//    records, in marker order, with the rest counted as discarded; under
+//    concurrent appends txids stay dense (drawn under the append lock).
+//  * populate-ahead window — after a log spanning several chunks the
+//    populated frontier sits within two chunks past the head, fences stay
+//    6 / 2 / 1 per commit and recovery leaves the image unchanged; a log
+//    smaller than one chunk fills, then overflows stickily.
 //  * durable routing — PhasedTm and StandardHytm route durable universes
 //    through their (redo-logged) software paths; HtmOnly documents its
 //    opt-out and emits nothing.
@@ -22,6 +30,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rhtm.h"
@@ -297,6 +306,169 @@ void unmarked_record_discarded() {
   CHECK_EQ(st.entries_applied, std::size_t{2});
 }
 
+// ------------------------------------------------------- linear recovery --
+void long_log_recovers_marked_in_marker_order() {
+  constexpr std::size_t kRecords = 100000;
+  constexpr std::size_t kBatch = 8;  // records logged before their batch's markers
+  PersistentDomain pd;
+  TmCell cells[kBatch];
+  Xoshiro256 rng(0x10A6ull);
+  std::vector<TmWord> value_of_txid(kRecords + 1, 0);
+  std::vector<std::uint64_t> expect_order;  // marker order
+  std::size_t expect_discarded = 0;
+  std::uint64_t txids[kBatch];
+  for (std::size_t base = 0; base < kRecords; base += kBatch) {
+    // A marker ahead of its record (the next txid) matches nothing: it
+    // names no record before it, so that record stays unmarked.
+    const bool premature = base % 1000 == 0;
+    if (premature) pd.durable_mark(base + 1, pmem::kPathTl2);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const TmWord v = rng.next_u64();
+      const pmem::CapturedWrite w[1] = {{&cells[i], v}};
+      txids[i] = pd.durable_log(w, pmem::kPathTl2);
+      CHECK_EQ(txids[i], static_cast<std::uint64_t>(base + i + 1));  // dense, in log order
+      value_of_txid[txids[i]] = v;
+    }
+    for (std::size_t i = kBatch - 1; i > 0; --i) {
+      std::swap(txids[i], txids[rng.next_u64() % (i + 1)]);
+    }
+    for (std::uint64_t txid : txids) {
+      if ((premature && txid == base + 1) || rng.next_u64() % 5 == 0) {
+        ++expect_discarded;
+        continue;
+      }
+      pd.durable_mark(txid, pmem::kPathTl2);
+      expect_order.push_back(txid);
+    }
+    if (base % 4096 == 0) {
+      pd.durable_mark(0, pmem::kPathTl2);                  // below every txid
+      pd.durable_mark(~std::uint64_t{0}, pmem::kPathTl2);  // far beyond the log
+    }
+  }
+  CHECK(!pd.log_overflowed());
+
+  std::size_t discarded = 0;
+  const auto txns = pd.recover_log(&discarded);
+  CHECK_EQ(discarded, expect_discarded);
+  CHECK_EQ(txns.size(), expect_order.size());
+  if (txns.size() != expect_order.size()) return;
+  bool same = true;
+  for (std::size_t k = 0; k < txns.size() && same; ++k) {
+    const auto& t = txns[k];
+    same = t.txid == expect_order[k] && t.entries.size() == 1 &&
+           t.entries[0].value == value_of_txid[t.txid] &&
+           (k == 0 || t.marker_pos > txns[k - 1].marker_pos);
+  }
+  CHECK(same);
+}
+
+/// Threads appending log + marker pairs straight into one domain: every
+/// txid is drawn under the append lock, so the records carry 1..N in log
+/// order and every marker finds its record. The populate-ahead frontier,
+/// claimed concurrently, ends within two chunks past the head.
+void concurrent_appends_keep_txids_dense() {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 20000;
+  constexpr std::size_t kTotal = kThreads * kPerThread;
+  PersistentDomain pd;
+  TmCell cells[kThreads];
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const pmem::CapturedWrite w[1] = {{&cells[t], static_cast<TmWord>(i)}};
+        pd.durable_mark(pd.durable_log(w, pmem::kPathTl2), pmem::kPathTl2);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::size_t discarded = 0;
+  const auto txns = pd.recover_log(&discarded);
+  CHECK_EQ(discarded, std::size_t{0});
+  CHECK_EQ(txns.size(), kTotal);
+  std::vector<bool> seen(kTotal + 1, false);
+  bool dense = true;
+  for (const auto& t : txns) {
+    dense = dense && t.txid >= 1 && t.txid <= kTotal && !seen[t.txid];
+    if (dense) seen[t.txid] = true;
+  }
+  CHECK(dense);
+  const std::uint64_t head = 6 * kTotal;  // 4-word record + 2-word marker each
+  CHECK(pd.log_populated() >= head);
+  CHECK(pd.log_populated() <= head + 2 * PersistentDomain::kPopulateChunkWords);
+}
+
+// -------------------------------------------------- populate-ahead window --
+constexpr std::uint64_t kWordsPerTransfer = 8;  // 6-word record + 2-word marker
+
+template <class H>
+void populate_window_tracks_head() {
+  UniverseConfig ucfg;
+  ucfg.durable = true;
+  TmUniverse<H> u(ucfg);
+  AccountStore store(8, 100, 2);
+  constexpr std::uint64_t kChunk = PersistentDomain::kPopulateChunkWords;
+  const auto txns = static_cast<int>(4 * kChunk / kWordsPerTransfer + 100);
+  {
+    HybridTm<H> tm(u);
+    churn_planned(tm, store, txns);
+  }
+  PersistentDomain& pd = u.pmem();
+  const std::uint64_t head = kWordsPerTransfer * static_cast<std::uint64_t>(txns);
+  CHECK(pd.log_populated() >= head);
+  CHECK(pd.log_populated() <= head + 2 * kChunk);
+
+  const auto t = static_cast<std::uint64_t>(txns);
+  const FenceCounts fc = pd.fence_counts();
+  CHECK_EQ(fc.pwb, 6 * t);
+  CHECK_EQ(fc.pfence, 2 * t);
+  CHECK_EQ(fc.psync, t);
+
+  std::vector<std::pair<std::uint64_t, TmWord>> before, after;
+  pd.for_each_image([&](std::uint64_t a, TmWord v) { before.emplace_back(a, v); });
+  const PersistentDomain::RecoveryStats st = pd.recover();
+  pd.for_each_image([&](std::uint64_t a, TmWord v) { after.emplace_back(a, v); });
+  CHECK_EQ(st.committed, static_cast<std::size_t>(txns));
+  CHECK_EQ(st.discarded, std::size_t{0});
+  CHECK(before == after);
+  CHECK(!before.empty());
+}
+
+template <class H>
+void small_log_fills_then_overflows() {
+  constexpr int kFit = 125;
+  UniverseConfig ucfg;
+  ucfg.durable = true;
+  // Smaller than one chunk, and 2 words past kFit transfers: the first
+  // transfer that does not fit still appends its (txid-0) marker, which
+  // recovery must leave unmatched.
+  ucfg.pmem.log_words = kFit * kWordsPerTransfer + 2;
+  CHECK(ucfg.pmem.log_words < PersistentDomain::kPopulateChunkWords);
+  TmUniverse<H> u(ucfg);
+  AccountStore store(8, 100, 2);
+  PersistentDomain& pd = u.pmem();
+  Tl2<H> tm(u);
+  std::size_t discarded = 0;
+
+  churn_planned(tm, store, kFit);
+  CHECK(!pd.log_overflowed());
+  CHECK_EQ(pd.log_populated(), static_cast<std::uint64_t>(ucfg.pmem.log_words));
+  CHECK_EQ(pd.recover_log(&discarded).size(), static_cast<std::size_t>(kFit));
+
+  for (int round = 0; round < 3; ++round) {
+    churn_planned(tm, store, 5);
+    CHECK(pd.log_overflowed());  // sticky
+    CHECK_EQ(pd.recover_log(&discarded).size(), static_cast<std::size_t>(kFit));
+    CHECK_EQ(discarded, std::size_t{0});
+  }
+  // A record that does not fit gets no txid.
+  TmCell c;
+  const pmem::CapturedWrite w[1] = {{&c, 1}};
+  CHECK_EQ(pd.durable_log(w, pmem::kPathTl2), std::uint64_t{0});
+  CHECK_EQ(store.unsafe_total(), store.total_minted());
+}
+
 // ------------------------------------------------------- durable routing --
 template <class H>
 void guarded_protocols_route_software() {
@@ -332,6 +504,10 @@ void test_read_only_sim() { read_only_costs_no_fences<HtmSim>(); }
 void test_durable_equals_recovered_sim() { durable_equals_recovered<HtmSim>(); }
 void test_redo_log_semantics() { unmarked_record_discarded(); }
 void test_guarded_protocols_sim() { guarded_protocols_route_software<HtmSim>(); }
+void test_long_log_recovery() { long_log_recovers_marked_in_marker_order(); }
+void test_concurrent_appends() { concurrent_appends_keep_txids_dense(); }
+void test_populate_window_sim() { populate_window_tracks_head<HtmSim>(); }
+void test_small_log_overflow_sim() { small_log_fills_then_overflows<HtmSim>(); }
 
 void test_fence_placement_rtm_when_viable() {
 #if defined(__RTM__)
@@ -356,6 +532,10 @@ int main() {
       {"durable_equals_recovered_no_crash_sim", rhtm::test_durable_equals_recovered_sim},
       {"redo_log_unmarked_discarded_marked_replayed", rhtm::test_redo_log_semantics},
       {"phased_and_standard_route_durable_software", rhtm::test_guarded_protocols_sim},
+      {"long_log_recovery_linear_marker_order", rhtm::test_long_log_recovery},
+      {"concurrent_appends_keep_txids_dense", rhtm::test_concurrent_appends},
+      {"populate_window_tracks_head_sim", rhtm::test_populate_window_sim},
+      {"small_log_fills_then_overflows_sticky_sim", rhtm::test_small_log_overflow_sim},
       {"fence_placement_rtm_when_viable", rhtm::test_fence_placement_rtm_when_viable},
   });
 }
