@@ -17,8 +17,7 @@ RHTM_SCENARIO(ablation_capacity, "§1.2 (A3)",
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = kCapacity;
   ucfg.htm.max_write_set = kCapacity;
-  ucfg.htm.line_shift = 3;              // one word per HTM line: exact accounting
-  ucfg.stripe.granularity_log2 = 5;     // 4 words per stripe — the paper's ratio
+  ucfg.stripe.granularity_log2 = 5;  // 4 words per stripe — the paper's ratio
   TmUniverse<HtmSim> universe(ucfg);
 
   SimHybridTm::Config cfg;

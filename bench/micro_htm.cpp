@@ -4,8 +4,8 @@
 // external benchmark library.
 
 #include "registry.h"
+#include "core/indexed_set.h"
 #include "stm/read_set.h"
-#include "stm/stripe_set.h"
 #include "stm/write_set.h"
 
 namespace rhtm::bench {

@@ -30,7 +30,6 @@ const std::size_t kWriteSizes[] = {4, 16, 64, 128, 256, 1024};
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = kHtmBudget;
   ucfg.htm.max_write_set = kHtmBudget;
-  ucfg.htm.line_shift = 3;  // one word per HTM line: exact entry accounting
   return ucfg;
 }
 

@@ -1,15 +1,12 @@
 #pragma once
 
 // Shared pieces of the hardware-transaction substrates: configuration,
-// outcome codes, the internal abort signal, and the line-set used for
-// capacity accounting.
+// outcome codes, the internal abort signal, and the publication seqlock.
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "core/cell.h"
 #include "core/stats.h"
@@ -61,14 +58,12 @@ inline constexpr const char* kMixedSubstrateName = "mixed";
 template <class H>
 struct SubstrateTraits;
 
-/// Capacity model for a best-effort hardware transaction. Budgets count
-/// distinct *lines* (addresses >> line_shift); the default line_shift of 3
-/// makes one 8-byte word per entry, matching the "512-entry write budget"
-/// the extension benches assume.
+/// Capacity model for a best-effort hardware transaction. HtmSim counts
+/// distinct cells (one 8-byte word per entry, matching the "512-entry
+/// write budget" the extension benches assume); HtmEmul counts raw accesses.
 struct HtmConfig {
   std::size_t max_read_set = 8192;
   std::size_t max_write_set = 512;
-  unsigned line_shift = 3;
 };
 
 enum class HtmStatus : std::uint8_t {
@@ -102,73 +97,6 @@ namespace detail {
 struct HtmAbort {
   HtmStatus status;
 };
-
-/// Open-addressed set of line ids with O(1) epoch-based clearing, used for
-/// exact distinct-line capacity accounting in the simulated substrate.
-class LineSet {
- public:
-  explicit LineSet(std::size_t initial_slots = 1024)
-      : slots_(initial_slots), epochs_(initial_slots, 0) {}
-
-  void clear() {
-    ++epoch_;
-    count_ = 0;
-    if (epoch_ == 0) {  // epoch wrapped: hard reset
-      std::fill(epochs_.begin(), epochs_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  /// Returns true if the line was newly inserted.
-  bool insert(std::uint64_t line) {
-    if (count_ * 4 >= slots_.size() * 3) grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(line * 0x9e3779b97f4a7c15ull >> 32) & mask;
-    while (epochs_[i] == epoch_) {
-      if (slots_[i] == line) return false;
-      i = (i + 1) & mask;
-    }
-    slots_[i] = line;
-    epochs_[i] = epoch_;
-    ++count_;
-    return true;
-  }
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-
- private:
-  void grow() {
-    std::vector<std::uint64_t> old_slots = std::move(slots_);
-    std::vector<std::uint32_t> old_epochs = std::move(epochs_);
-    slots_.assign(old_slots.size() * 2, 0);
-    epochs_.assign(old_slots.size() * 2, 0);
-    const std::uint32_t live = epoch_;
-    epoch_ = 1;
-    count_ = 0;
-    const std::uint32_t fresh = epoch_;
-    for (std::size_t i = 0; i < old_slots.size(); ++i) {
-      if (old_epochs[i] == live) {
-        // re-insert without growth recursion (load factor halved)
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t j =
-            static_cast<std::size_t>(old_slots[i] * 0x9e3779b97f4a7c15ull >> 32) & mask;
-        while (epochs_[j] == fresh) j = (j + 1) & mask;
-        slots_[j] = old_slots[i];
-        epochs_[j] = fresh;
-        ++count_;
-      }
-    }
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::vector<std::uint32_t> epochs_;
-  std::uint32_t epoch_ = 1;
-  std::size_t count_ = 0;
-};
-
-inline std::uint64_t line_of(const void* addr, unsigned line_shift) {
-  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(addr)) >> line_shift;
-}
 
 /// Publication seqlock shared by the substrates whose software-visible
 /// multi-word publications need torn-read protection: a spinlock

@@ -2,9 +2,9 @@
 
 // HtmSim — the simulated best-effort HTM substrate: software read/write-set
 // tracking with genuine atomicity and conflict detection. Loads are
-// value-logged, stores are buffered, and commit validates the read log and
+// value-logged, stores are buffered, and commit validates the read set and
 // publishes the write buffer under a global commit lock. Capacity is
-// accounted in distinct lines, so capacity aborts are real (the extension
+// accounted in distinct cells, so capacity aborts are real (the extension
 // benches and the A3 headroom ablation rely on this). Slower than HtmEmul
 // by design: fidelity over speed.
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/htm_common.h"
+#include "core/indexed_set.h"
 
 namespace rhtm {
 
@@ -26,21 +27,37 @@ class HtmSim {
    public:
     explicit Tx(HtmSim& htm) : htm_(htm) {}
 
+    /// A cell already written returns its buffered value. Otherwise the
+    /// first read of a cell logs the value seen; a re-read that sees a
+    /// different value aborts at once, since commit validation would fail
+    /// on it anyway.
     TmWord load(const TmCell& c) {
-      if (const WriteEnt* e = find_write(&c)) return e->value;  // read-after-write
+      // The sets only compare keys; nothing is written through the cast.
+      TmCell* const key = const_cast<TmCell*>(&c);
+      if (!writes_.cells.empty()) {
+        if (const auto w = writes_.cells.find(key)) return writes_.values[*w];
+      }
       const TmWord v = c.word.load(std::memory_order_acquire);
-      read_log_.push_back({&c, v});
-      if (read_lines_.insert(detail::line_of(&c, htm_.cfg_.line_shift)) &&
-          read_lines_.count() > htm_.cfg_.max_read_set) {
+      const auto [index, fresh] = reads_.cells.insert(key);
+      if (!fresh) {
+        if (reads_.values[index] != v) throw detail::HtmAbort{HtmStatus::kConflict};
+        return v;
+      }
+      reads_.values.push_back(v);
+      if (reads_.cells.size() > htm_.cfg_.max_read_set) {
         throw detail::HtmAbort{HtmStatus::kCapacity};
       }
       return v;
     }
 
     void store(TmCell& c, TmWord v) {
-      put_write(&c, v);
-      if (write_lines_.insert(detail::line_of(&c, htm_.cfg_.line_shift)) &&
-          write_lines_.count() > htm_.cfg_.max_write_set) {
+      const auto [index, fresh] = writes_.cells.insert(&c);
+      if (!fresh) {
+        writes_.values[index] = v;
+        return;
+      }
+      writes_.values.push_back(v);
+      if (writes_.cells.size() > htm_.cfg_.max_write_set) {
         throw detail::HtmAbort{HtmStatus::kCapacity};
       }
     }
@@ -52,110 +69,26 @@ class HtmSim {
    private:
     friend class HtmSim;
 
-    struct WriteEnt {
-      TmCell* cell;
-      TmWord value;
+    /// cell -> word: `values[i]` belongs to `cells.items()[i]`.
+    struct CellWords {
+      IndexedSet<TmCell*> cells;
+      std::vector<TmWord> values;
+
+      void clear() {
+        cells.clear();
+        values.clear();
+      }
     };
 
     void reset() {
-      read_log_.clear();
+      reads_.clear();
       writes_.clear();
-      read_lines_.clear();
-      write_lines_.clear();
-      write_index_.clear();
       poisoned_ = false;
     }
 
-    const WriteEnt* find_write(const TmCell* c) const {
-      if (write_index_.count() == 0) return nullptr;
-      const std::size_t idx = write_index_.find(reinterpret_cast<std::uintptr_t>(c));
-      return idx != kNoSlot ? &writes_[idx] : nullptr;
-    }
-
-    void put_write(TmCell* c, TmWord v) {
-      const std::size_t idx = write_index_.find(reinterpret_cast<std::uintptr_t>(c));
-      if (idx != kNoSlot) {
-        writes_[idx].value = v;
-        return;
-      }
-      writes_.push_back({c, v});
-      write_index_.put(reinterpret_cast<std::uintptr_t>(c), writes_.size() - 1);
-    }
-
-    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-    /// Tiny open-addressed pointer -> index map with epoch clearing.
-    class PtrIndex {
-     public:
-      PtrIndex() : keys_(1024, 0), vals_(1024, 0), epochs_(1024, 0) {}
-      void clear() {
-        ++epoch_;
-        count_ = 0;
-        if (epoch_ == 0) {
-          std::fill(epochs_.begin(), epochs_.end(), 0);
-          epoch_ = 1;
-        }
-      }
-      [[nodiscard]] std::size_t count() const { return count_; }
-      [[nodiscard]] std::size_t find(std::uintptr_t key) const {
-        const std::size_t mask = keys_.size() - 1;
-        std::size_t i = hash(key) & mask;
-        while (epochs_[i] == epoch_) {
-          if (keys_[i] == key) return vals_[i];
-          i = (i + 1) & mask;
-        }
-        return kNoSlot;
-      }
-      void put(std::uintptr_t key, std::size_t val) {
-        if (count_ * 4 >= keys_.size() * 3) grow();
-        const std::size_t mask = keys_.size() - 1;
-        std::size_t i = hash(key) & mask;
-        while (epochs_[i] == epoch_) {
-          if (keys_[i] == key) {
-            vals_[i] = val;
-            return;
-          }
-          i = (i + 1) & mask;
-        }
-        keys_[i] = key;
-        vals_[i] = val;
-        epochs_[i] = epoch_;
-        ++count_;
-      }
-
-     private:
-      static std::size_t hash(std::uintptr_t key) {
-        return static_cast<std::size_t>(static_cast<std::uint64_t>(key >> 3) *
-                                        0x9e3779b97f4a7c15ull >> 32);
-      }
-      void grow() {
-        std::vector<std::uintptr_t> old_keys = std::move(keys_);
-        std::vector<std::size_t> old_vals = std::move(vals_);
-        std::vector<std::uint32_t> old_epochs = std::move(epochs_);
-        const std::uint32_t live = epoch_;
-        keys_.assign(old_keys.size() * 2, 0);
-        vals_.assign(old_keys.size() * 2, 0);
-        epochs_.assign(old_keys.size() * 2, 0);
-        epoch_ = 1;
-        count_ = 0;
-        for (std::size_t i = 0; i < old_keys.size(); ++i) {
-          if (old_epochs[i] == live) put(old_keys[i], old_vals[i]);
-        }
-      }
-
-      std::vector<std::uintptr_t> keys_;
-      std::vector<std::size_t> vals_;
-      std::vector<std::uint32_t> epochs_;
-      std::uint32_t epoch_ = 1;
-      std::size_t count_ = 0;
-    };
-
     HtmSim& htm_;
-    std::vector<std::pair<const TmCell*, TmWord>> read_log_;
-    std::vector<WriteEnt> writes_;
-    PtrIndex write_index_;
-    detail::LineSet read_lines_;
-    detail::LineSet write_lines_;
+    CellWords reads_;   ///< cell -> first value seen
+    CellWords writes_;  ///< cell -> buffered value
     bool poisoned_ = false;
   };
 
@@ -219,16 +152,18 @@ class HtmSim {
  private:
   HtmOutcome commit(Tx& tx) {
     pub_.lock();
-    for (const auto& [cell, seen] : tx.read_log_) {
-      if (cell->word.load(std::memory_order_acquire) != seen) {
+    const std::vector<TmCell*>& read = tx.reads_.cells.items();
+    for (std::size_t i = 0; i < read.size(); ++i) {
+      if (read[i]->word.load(std::memory_order_acquire) != tx.reads_.values[i]) {
         pub_.unlock();
         return HtmOutcome{HtmStatus::kConflict};
       }
     }
-    if (!tx.writes_.empty()) {
+    const std::vector<TmCell*>& written = tx.writes_.cells.items();
+    if (!written.empty()) {
       pub_.mark_in_flight();
-      for (const auto& w : tx.writes_) {
-        w.cell->word.store(w.value, std::memory_order_release);
+      for (std::size_t i = 0; i < written.size(); ++i) {
+        written[i]->word.store(tx.writes_.values[i], std::memory_order_release);
       }
       pub_.mark_settled();
     }

@@ -42,8 +42,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/indexed_set.h"
 #include "core/tl2.h"
-#include "stm/stripe_set.h"
 
 namespace rhtm {
 
@@ -359,7 +359,7 @@ class HybridTm {
   }
 
   void publish_once(ThreadCtx& ctx, std::uint32_t stripe) {
-    if (ctx.masks_.insert(stripe)) {
+    if (ctx.masks_.insert(stripe).fresh) {
       u_.htm().nontx_atomic([&] { u_.stripes().publish_read(stripe); });
     }
   }

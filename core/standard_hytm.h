@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/indexed_set.h"
 #include "core/tl2.h"
-#include "stm/stripe_set.h"
 
 namespace rhtm {
 

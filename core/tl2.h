@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "core/attempt.h"
+#include "core/indexed_set.h"
 #include "core/universe.h"
 #include "stm/read_set.h"
-#include "stm/stripe_set.h"
 #include "stm/write_set.h"
 
 namespace rhtm {

@@ -1,18 +1,28 @@
 #!/usr/bin/env python3
-"""A/B two git revisions on one rhbench workload.
+"""A/B two git revisions on rhbench workloads.
 
 Exports each revision's tracked files into its own tree under a temporary
 directory, builds rhbench there (rhbench/run.py, one build directory per
-side), then runs N pairs of the workload, alternating which side runs
+side), then, per workload, runs N pairs, alternating which side runs
 first. Per end-to-end metric (BENCHMARK.json "end_to_end") it prints each
 side's median and quartiles and how many pairs the second revision won,
 ties counting for neither side. A gain is claimed only when that revision
 wins at least nine tenths of the pairs and its median beats the base's by
 more than the base's interquartile range.
 
+Each metric also gets a no-regression verdict against its BENCHMARK.json
+`bound` (a fraction of the base median):
+    worse       the head median is worse than the base median by more
+                than the bound;
+    unresolved  the base IQR is wider than the bound, unless every head
+                run beats every base run;
+    ok          otherwise.
+The failed-operation share (failed / attempted ops over all runs) is
+`worse` whenever the head's is higher than the base's.
+
 Usage:
-    rhbench_ab.py BASE_REV HEAD_REV [--workload kv_durable] [--pairs 10]
-                  [--seed 7] [--seconds 6]
+    rhbench_ab.py BASE_REV HEAD_REV [--workload kv_durable|a,b|all]
+                  [--pairs 10] [--seed 7] [--seconds 6]
     rhbench_ab.py HEAD~1 "$(git stash create)"   # uncommitted tracked edits
     rhbench_ab.py --selftest
 
@@ -74,6 +84,35 @@ def compare(base, head, better):
     }
 
 
+def verdict(base, head, better, bound):
+    """No-regression verdict ("worse", "unresolved" or "ok") for one metric.
+
+    `bound` is the largest tolerated worsening, as a fraction of base's
+    median (see the module docstring).
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    bq, hq = quartiles(base), quartiles(head)
+    scale = abs(bq[1])
+    if sign * (bq[1] - hq[1]) > bound * scale:
+        return "worse"
+    head_dominates = all(sign * (h - b) > 0 for h in head for b in base)
+    if bq[2] - bq[0] > bound * scale and not head_dominates:
+        return "unresolved"
+    return "ok"
+
+
+def parse_workloads(spec, known):
+    """The workload names a --workload value selects: a comma list or all."""
+    if spec == "all":
+        return list(known)
+    names = [w for w in spec.split(",") if w]
+    unknown = [w for w in names if w not in known]
+    if not names or unknown:
+        raise ValueError("unknown workload(s) %s; choose from %s or all"
+                         % (",".join(unknown) or repr(spec), ",".join(known)))
+    return names
+
+
 def export_tree(rev, dest):
     """Writes the tracked files of `rev` into `dest` (git archive | tar)."""
     os.makedirs(dest)
@@ -84,11 +123,12 @@ def export_tree(rev, dest):
         raise RuntimeError("cannot export revision %r" % rev)
 
 
-def run_side(tree, args, names):
-    """One rhbench run from `tree`; returns {metric name: value} for `names`."""
+def run_side(tree, workload, args, names):
+    """One rhbench run from `tree`; returns {metric name: value} for `names`
+    plus the run's "attempted" and "failed" op counts."""
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
     cmd = [sys.executable, os.path.join(tree, "rhbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
+           "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     r = subprocess.run(cmd, env=env, capture_output=True, text=True)
     lines = r.stdout.splitlines()
@@ -99,23 +139,35 @@ def run_side(tree, args, names):
     if not res.get("correct"):
         sys.stderr.write(r.stdout)
         raise RuntimeError("%s reported incorrect results" % tree)
-    return {n: res["metrics"][n]["value"] for n in names}
+    out = {n: res["metrics"][n]["value"] for n in names}
+    out.update(attempted=res["attempted"], failed=res["failed"])
+    return out
 
 
-def report(metrics, base_runs, head_runs, args):
+def fail_share(runs):
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def report(workload, metrics, base_runs, head_runs, args):
     print("workload=%s seed=%d seconds=%g pairs=%d  base=%s head=%s"
-          % (args.workload, args.seed, args.seconds, args.pairs, args.base, args.head))
-    print("%-12s %-6s %31s %31s %8s %6s %s"
+          % (workload, args.seed, args.seconds, args.pairs, args.base, args.head))
+    print("%-12s %-6s %31s %31s %8s %6s %-5s %s"
           % ("metric", "better", "base q1/median/q3", "head q1/median/q3",
-             "delta", "wins", "claim"))
+             "delta", "wins", "claim", "verdict"))
     for m in metrics:
         name = m["name"]
-        c = compare([r[name] for r in base_runs], [r[name] for r in head_runs],
-                    m["better"])
-        print("%-12s %-6s %31s %31s %+7.1f%% %3d/%-2d %s"
+        base = [r[name] for r in base_runs]
+        head = [r[name] for r in head_runs]
+        c = compare(base, head, m["better"])
+        print("%-12s %-6s %31s %31s %+7.1f%% %3d/%-2d %-5s %s"
               % (name, m["better"], "/".join("%.4g" % v for v in c["base"]),
                  "/".join("%.4g" % v for v in c["head"]), 100 * c["delta_frac"],
-                 c["wins"], c["pairs"], "yes" if c["claim"] else "no"))
+                 c["wins"], c["pairs"], "yes" if c["claim"] else "no",
+                 verdict(base, head, m["better"], m["bound"])))
+    bf, hf = fail_share(base_runs), fail_share(head_runs)
+    print("%-12s %-6s %31.4g %31.4g %8s %6s %-5s %s"
+          % ("fail_share", "lower", bf, hf, "", "", "", "worse" if hf > bf else "ok"))
 
 
 def selftest():
@@ -148,6 +200,36 @@ def selftest():
         raise AssertionError("unpaired samples accepted")
     except ValueError:
         pass
+
+    # Verdicts: a head median worse by more than the bound ...
+    steady = [100.0, 101.0, 99.0, 100.5, 99.5]
+    assert verdict(steady, [70.0] * 5, "higher", 0.25) == "worse"
+    assert verdict(steady, [130.0] * 5, "lower", 0.25) == "worse"
+    # ... a worsening within the bound on a steady base ...
+    assert verdict(steady, [90.0] * 5, "higher", 0.25) == "ok"
+    assert verdict(steady, [120.0] * 5, "lower", 0.25) == "ok"
+    # ... a base too noisy to judge (IQR 50% of the median) ...
+    noisy = [50.0, 75.0, 100.0, 125.0, 150.0]
+    assert verdict(noisy, [95.0, 100.0, 105.0, 98.0, 102.0], "higher", 0.25) == "unresolved"
+    # ... unless every head run beats every base run.
+    assert verdict(noisy, [151.0, 160.0, 170.0, 155.0, 152.0], "higher", 0.25) == "ok"
+    assert verdict(noisy, [40.0, 45.0, 30.0, 49.0, 20.0], "lower", 0.25) == "ok"
+    # A noisy base whose median the head misses by more than the bound.
+    assert verdict(noisy, [60.0] * 5, "higher", 0.25) == "worse"
+    assert fail_share([{"attempted": 10, "failed": 1}, {"attempted": 30, "failed": 1}]) == 0.05
+    assert fail_share([]) == 0.0
+
+    known = ["rbtree_fastpath", "kv_service", "kv_durable"]
+    assert parse_workloads("all", known) == known
+    assert parse_workloads("kv_durable", known) == ["kv_durable"]
+    assert parse_workloads("kv_service,rbtree_fastpath", known) == [
+        "kv_service", "rbtree_fastpath"]
+    for bad in ["", "kv", "kv_durable,nope"]:
+        try:
+            parse_workloads(bad, known)
+            raise AssertionError("workload spec %r accepted" % bad)
+        except ValueError:
+            pass
     print("selftest passed")
     return 0
 
@@ -156,7 +238,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", nargs="?", help="base revision")
     ap.add_argument("head", nargs="?", help="revision under test")
-    ap.add_argument("--workload", default="kv_durable")
+    ap.add_argument("--workload", default="kv_durable",
+                    help="a BENCHMARK.json workload, a comma list of them, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--seconds", type=float, default=6.0)
@@ -168,8 +251,14 @@ def main():
         ap.print_usage(sys.stderr)
         return 2
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
     names = [m["name"] for m in metrics]
+    try:
+        workloads = parse_workloads(args.workload, [w["name"] for w in bench["workloads"]])
+    except ValueError as e:
+        print("rhbench_ab: %s" % e, file=sys.stderr)
+        return 2
 
     tmp = tempfile.mkdtemp(prefix="rhbench_ab.")
     try:
@@ -180,19 +269,21 @@ def main():
         except RuntimeError as e:
             print("rhbench_ab: %s" % e, file=sys.stderr)
             return 2
-        runs = [[], []]
-        try:
-            for i in range(args.pairs):
-                order = [0, 1] if i % 2 == 0 else [1, 0]
-                for side in order:
-                    runs[side].append(run_side(trees[side], args, names))
-                for side, label in enumerate(["base", "head"]):
-                    print("pair %d %s %s" % (i + 1, label, " ".join(
-                        "%s=%.6g" % (n, runs[side][-1][n]) for n in names)), flush=True)
-        except (OSError, RuntimeError, ValueError) as e:
-            print("rhbench_ab: %s" % e, file=sys.stderr)
-            return 1
-        report(metrics, runs[0], runs[1], args)
+        for workload in workloads:
+            runs = [[], []]
+            try:
+                for i in range(args.pairs):
+                    order = [0, 1] if i % 2 == 0 else [1, 0]
+                    for side in order:
+                        runs[side].append(run_side(trees[side], workload, args, names))
+                    for side, label in enumerate(["base", "head"]):
+                        print("pair %s %d %s %s" % (workload, i + 1, label, " ".join(
+                            "%s=%.6g" % (n, runs[side][-1][n])
+                            for n in names + ["attempted", "failed"])), flush=True)
+            except (OSError, RuntimeError, ValueError) as e:
+                print("rhbench_ab: %s" % e, file=sys.stderr)
+                return 1
+            report(workload, metrics, runs[0], runs[1], args)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0

@@ -7,9 +7,10 @@
 // ~4x capacity headroom over the fast path (one stripe word per granule
 // of data).
 //
-// The set is EXACTLY deduplicated (a thin wrapper over StripeSet): each
-// read stripe is logged once no matter how often the transaction re-reads
-// it, and an entry is just the 4-byte stripe index. Both properties keep
+// The set is EXACTLY deduplicated (a thin wrapper over StripeSet, the
+// stripe-keyed IndexedSet): each read stripe is logged once no matter how
+// often the transaction re-reads it, and an entry is just the 4-byte
+// stripe index. Both properties keep
 // the reduced hardware commit's footprint proportional to the *distinct*
 // stripe count — zipfian/hashtable re-read patterns used to log the same
 // hot stripe hundreds of times (and carry a dead observed-version word
@@ -22,8 +23,8 @@
 #include <vector>
 
 #include "core/cell.h"
+#include "core/indexed_set.h"
 #include "core/stripe.h"
-#include "stm/stripe_set.h"
 
 namespace rhtm {
 

@@ -1,18 +1,18 @@
 #pragma once
 
 // TL2-style redo write-set: append-only entry log with a bloom filter for
-// fast negative read-after-write lookups and an open-addressed exact index
-// for positive ones. The bloom filter admits false positives (resolved by
-// the exact index) but never false negatives — a lookup of a written cell
-// always finds its latest value.
+// fast negative read-after-write lookups and an exact cell index
+// (IndexedSet: cell -> entry position) for positive ones. The bloom filter
+// admits false positives (resolved by the exact index) but never false
+// negatives — a lookup of a written cell always finds its latest value.
 //
 // The filter is *blocked* and *size-adaptive*: an array of epoch-tagged
-// 64-bit words (32 filter bits + a 32-bit epoch tag each) that scales with
-// the slot table, so it keeps a low false-positive rate at any write-set
+// 64-bit words (32 filter bits + a 32-bit epoch tag each) that doubles with
+// the entry count, so it keeps a low false-positive rate at any write-set
 // size. Its predecessor was one global 64-bit word, which saturated past
 // ~40 distinct cells and silently degraded every read-after-write miss to
 // a full probe loop. Each lookup touches exactly one filter word (one
-// cache line), and clearing stays O(1) via the epoch tags.
+// cache line), and clearing stays O(1): the tags are the index's epoch.
 //
 // The set also maintains the deduplicated stripe view of the log
 // (`write_stripes()` / `wrote_stripe()`): the unique stripes the commit
@@ -20,13 +20,12 @@
 // hardware commits) — each stripe exactly once, however many entries
 // share it.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/cell.h"
-#include "stm/stripe_set.h"
+#include "core/indexed_set.h"
 
 namespace rhtm {
 
@@ -38,21 +37,12 @@ struct WriteEntry {
 
 class WriteSet {
  public:
-  WriteSet()
-      : bloom_(kInitialSlots / kSlotsPerBloomWord, 0),
-        slot_cells_(kInitialSlots, nullptr),
-        slot_idx_(kInitialSlots, 0),
-        slot_epoch_(kInitialSlots, 0) {}
+  WriteSet() : bloom_(kInitialBloomWords, 0) {}
 
   void clear() {
     entries_.clear();
+    index_.clear();
     stripes_.clear();
-    ++epoch_;
-    if (epoch_ == 0) {  // epoch wrapped: hard reset of every lazy tag
-      std::fill(slot_epoch_.begin(), slot_epoch_.end(), 0);
-      std::fill(bloom_.begin(), bloom_.end(), 0);
-      epoch_ = 1;
-    }
   }
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
@@ -71,21 +61,13 @@ class WriteSet {
 
   /// Insert or overwrite the buffered value for `cell`.
   void put(TmCell& cell, TmWord value, std::uint32_t stripe) {
-    const std::uint64_t h = hash(&cell);
-    if (entries_.size() * 4 >= slot_cells_.size() * 3) grow();
-    bloom_set(h);  // after grow(), which rebuilds the filter from entries_
-    const std::size_t mask = slot_cells_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(h) & mask;
-    while (slot_epoch_[i] == epoch_) {
-      if (slot_cells_[i] == &cell) {
-        entries_[slot_idx_[i]].value = value;
-        return;
-      }
-      i = (i + 1) & mask;
+    const auto [index, fresh] = index_.insert(&cell);
+    if (!fresh) {
+      entries_[index].value = value;
+      return;
     }
-    slot_cells_[i] = &cell;
-    slot_idx_[i] = static_cast<std::uint32_t>(entries_.size());
-    slot_epoch_[i] = epoch_;
+    if (entries_.size() >= bloom_.size() * kCellsPerBloomWord) grow_bloom();
+    bloom_set(hash(&cell));
     entries_.push_back({&cell, value, stripe});
     stripes_.insert(stripe);
   }
@@ -93,30 +75,28 @@ class WriteSet {
   /// Latest buffered entry for `cell`, or nullptr. The bloom check makes the
   /// common miss (read of an unwritten cell) one load + AND + branch.
   [[nodiscard]] WriteEntry* find(const TmCell& cell) {
-    const std::uint64_t h = hash(&cell);
-    if (!may_contain_hash(h)) return nullptr;
-    const std::size_t mask = slot_cells_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(h) & mask;
-    while (slot_epoch_[i] == epoch_) {
-      if (slot_cells_[i] == &cell) return &entries_[slot_idx_[i]];
-      i = (i + 1) & mask;
-    }
-    return nullptr;
+    if (!may_contain(cell)) return nullptr;
+    // The index only compares keys; nothing is written through the cast.
+    const auto index = index_.find(const_cast<TmCell*>(&cell));
+    return index ? &entries_[*index] : nullptr;
   }
 
   /// The bloom verdict alone (no exact-index probe). Exposed so tests can
   /// pin the filter's false-positive rate beyond the old 64-bit saturation
   /// point; false negatives are a correctness bug at any size.
   [[nodiscard]] bool may_contain(const TmCell& cell) const {
-    return may_contain_hash(hash(&cell));
+    const std::uint64_t h = hash(&cell);
+    const std::uint64_t w = bloom_[bloom_word(h)];
+    const std::uint32_t bits = bloom_bits(h);
+    return (w >> 32) == index_.epoch() && (static_cast<std::uint32_t>(w) & bits) == bits;
   }
 
  private:
-  static constexpr std::size_t kInitialSlots = 1024;
-  /// One epoch-tagged 32-bit filter block per 4 slots: at the 3/4-load grow
-  /// threshold that is >= ~10 filter bits per distinct cell (2 set), which
-  /// keeps the false-positive rate in the low percent at every size.
-  static constexpr std::size_t kSlotsPerBloomWord = 4;
+  static constexpr std::size_t kInitialBloomWords = 16;
+  /// At most 3 distinct cells per 32-bit filter block: >= ~10 filter bits
+  /// per cell (2 set), which keeps the false-positive rate in the low
+  /// percent at every size.
+  static constexpr std::size_t kCellsPerBloomWord = 3;
 
   static std::uint64_t hash(const TmCell* cell) {
     return (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(cell)) >> 3) *
@@ -125,6 +105,8 @@ class WriteSet {
 
   // Filter-word layout: high 32 bits = epoch tag, low 32 = bloom bits. A
   // stale tag reads as an all-zero block, so clear() never sweeps the array.
+  // After an epoch wrap a stale tag can read as live again; that only adds
+  // false positives, which the exact index resolves.
   [[nodiscard]] std::size_t bloom_word(std::uint64_t h) const {
     return static_cast<std::size_t>(h >> 12) & (bloom_.size() - 1);
   }
@@ -133,41 +115,20 @@ class WriteSet {
   }
   void bloom_set(std::uint64_t h) {
     std::uint64_t& w = bloom_[bloom_word(h)];
-    if ((w >> 32) != epoch_) w = static_cast<std::uint64_t>(epoch_) << 32;
+    const std::uint32_t epoch = index_.epoch();
+    if ((w >> 32) != epoch) w = static_cast<std::uint64_t>(epoch) << 32;
     w |= bloom_bits(h);
   }
-  [[nodiscard]] bool may_contain_hash(std::uint64_t h) const {
-    const std::uint64_t w = bloom_[bloom_word(h)];
-    const std::uint32_t bits = bloom_bits(h);
-    return (w >> 32) == epoch_ && (static_cast<std::uint32_t>(w) & bits) == bits;
-  }
 
-  void grow() {
-    const std::size_t n = slot_cells_.size() * 2;
-    slot_cells_.assign(n, nullptr);
-    slot_idx_.assign(n, 0);
-    slot_epoch_.assign(n, 0);
-    bloom_.assign(n / kSlotsPerBloomWord, 0);
-    epoch_ = 1;
-    const std::size_t mask = n - 1;
-    for (std::size_t e = 0; e < entries_.size(); ++e) {
-      const std::uint64_t h = hash(entries_[e].cell);
-      bloom_set(h);
-      std::size_t i = static_cast<std::size_t>(h) & mask;
-      while (slot_epoch_[i] == epoch_) i = (i + 1) & mask;
-      slot_cells_[i] = entries_[e].cell;
-      slot_idx_[i] = static_cast<std::uint32_t>(e);
-      slot_epoch_[i] = epoch_;
-    }
+  void grow_bloom() {
+    bloom_.assign(bloom_.size() * 2, 0);
+    for (const WriteEntry& e : entries_) bloom_set(hash(e.cell));
   }
 
   std::vector<WriteEntry> entries_;
-  StripeSet stripes_;  ///< deduped stripe view of the log
+  IndexedSet<TmCell*> index_;  ///< cell -> position in entries_
+  StripeSet stripes_;          ///< deduped stripe view of the log
   std::vector<std::uint64_t> bloom_;
-  std::vector<TmCell*> slot_cells_;
-  std::vector<std::uint32_t> slot_idx_;
-  std::vector<std::uint32_t> slot_epoch_;
-  std::uint32_t epoch_ = 1;
 };
 
 }  // namespace rhtm

@@ -39,7 +39,6 @@ void escalation_chain_impl(bool strict_tiers, bool run_big = true) {
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = 64;
   ucfg.htm.max_write_set = 64;
-  ucfg.htm.line_shift = 3;           // one word per line: exact accounting
   ucfg.stripe.granularity_log2 = 5;  // 4 words per stripe
   TmUniverse<H> u(ucfg);
   typename HybridTm<H>::Config cfg;

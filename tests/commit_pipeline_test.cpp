@@ -73,7 +73,6 @@ void reduced_commit_footprint_is_distinct_stripes(NumaMode numa) {
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = 64;
   ucfg.htm.max_write_set = 64;
-  ucfg.htm.line_shift = 3;
   TmUniverse<HtmEmul> u(with_numa(ucfg, numa));
   HybridTm<HtmEmul>::Config cfg;
   cfg.force_slow_path = true;  // software body + reduced hardware commit
@@ -103,7 +102,6 @@ void reduced_commit_dedup_sim(NumaMode numa) {
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = 64;
   ucfg.htm.max_write_set = 64;
-  ucfg.htm.line_shift = 3;
   TmUniverse<HtmSim> u(with_numa(ucfg, numa));
   HybridTm<HtmSim>::Config cfg;
   cfg.force_slow_path = true;
@@ -131,7 +129,6 @@ void rh2_slow_slow_respects_own_masks(NumaMode numa) {
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = 64;
   ucfg.htm.max_write_set = 64;
-  ucfg.htm.line_shift = 3;
   TmUniverse<HtmSim> u(with_numa(ucfg, numa));
   HybridTm<HtmSim>::Config cfg;
   cfg.force_rh2 = true;

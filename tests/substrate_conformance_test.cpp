@@ -201,6 +201,55 @@ void conformance() {
   serial_protocol_conservation<H>();
 }
 
+/// HtmSim budgets count distinct cells, not accesses: one transaction may
+/// rewrite one cell far more often than max_write_set and still commit.
+void sim_rewrites_past_write_budget() {
+  HtmConfig cfg;
+  cfg.max_write_set = 4;
+  HtmSim htm(cfg);
+  HtmSim::Tx tx(htm);
+  TmCell c;
+  const HtmOutcome out = htm.execute(tx, [&](HtmSim::Tx& t) {
+    for (TmWord i = 1; i <= 100; ++i) t.store(c, i);
+  });
+  CHECK(out.ok());
+  CHECK_EQ(htm.nontx_load(c), 100u);
+}
+
+/// ... and re-reads of one cell far past max_read_set.
+void sim_rereads_past_read_budget() {
+  HtmConfig cfg;
+  cfg.max_read_set = 4;
+  HtmSim htm(cfg);
+  HtmSim::Tx tx(htm);
+  TmCell c(3);
+  TmWord sum = 0;
+  const HtmOutcome out = htm.execute(tx, [&](HtmSim::Tx& t) {
+    sum = 0;
+    for (int i = 0; i < 100; ++i) sum += t.load(c);
+  });
+  CHECK(out.ok());
+  CHECK_EQ(sum, 300u);
+}
+
+/// A re-read that sees a value different from the cell's first read aborts
+/// kConflict at that load: the body never runs on the inconsistent view.
+void sim_changed_reread_aborts_at_the_load() {
+  HtmSim htm;
+  HtmSim::Tx tx(htm);
+  TmCell c(1);
+  bool ran_past_second_load = false;
+  const HtmOutcome out = htm.execute(tx, [&](HtmSim::Tx& t) {
+    (void)t.load(c);
+    htm.nontx_store(c, 2);  // a concurrent writer, landing mid-transaction
+    (void)t.load(c);
+    ran_past_second_load = true;
+  });
+  CHECK(out.status == HtmStatus::kConflict);
+  CHECK(!ran_past_second_load);
+  CHECK_EQ(htm.nontx_load(c), 2u);
+}
+
 /// The rtm gating contract itself: the availability predicates are
 /// consistent, and a host without usable RTM degrades to clean failures.
 void rtm_gating() {
@@ -236,6 +285,10 @@ int main() {
       TestCase{"emul_conformance", rhtm::conformance<rhtm::HtmEmul>},
       TestCase{"sim_conformance", rhtm::conformance<rhtm::HtmSim>},
       TestCase{"rtm_conformance", rhtm::conformance<rhtm::HtmRtm>},
+      TestCase{"sim_rewrites_past_write_budget", rhtm::sim_rewrites_past_write_budget},
+      TestCase{"sim_rereads_past_read_budget", rhtm::sim_rereads_past_read_budget},
+      TestCase{"sim_changed_reread_aborts_at_the_load",
+               rhtm::sim_changed_reread_aborts_at_the_load},
       TestCase{"rtm_gating", rhtm::rtm_gating},
   });
 }
