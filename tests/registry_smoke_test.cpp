@@ -13,13 +13,18 @@
 // sim options below they are deterministic on any host with at most two
 // NUMA sockets; micro_htm's rtm series exist only where TSX is usable, so
 // the shape leaves them out.
-// `registry_smoke_test --print` prints the current shapes in the table's
-// own syntax instead of checking them.
+// A second pin, kExpectedMetrics, holds per table the metric names its
+// points report (every name in the pin must still be reported; new ones
+// may appear). It leaves out fill_point's commits_* / attempts_* /
+// aborts_* keys, which a point carries only when the counter is nonzero.
+// `registry_smoke_test --print` prints the current shapes and metric
+// names in the tables' own syntax instead of checking them.
 
 #include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/registry.h"
@@ -161,6 +166,64 @@ const ShapePin kExpectedShapes[] = {
 };
 // clang-format on
 
+struct MetricPin {
+  const char* scenario;
+  std::size_t table;    ///< index in the scenario's report
+  const char* metrics;  ///< sorted, comma-separated metric names
+};
+
+// clang-format off
+const MetricPin kExpectedMetrics[] = {
+    {"ablation_capacity", 0, "fast_pct,rh1_slow_pct,rh2_pct,slow_slow_pct"},
+    {"ablation_clock", 0, "abort_ratio,htm_conflicts,stm_validation,total_ops"},
+    {"ablation_policy", 0, "abort_ratio,fast_tries_per_op,total_ops"},
+    {"ablation_readmask", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"ablation_stripes", 0, "abort_ratio,total_ops"},
+    {"commit_path", 0, "capacity_abort_rate,commit_ns,rh1_slow_pct,rh2_pct,slow_slow_pct,tx_ns"},
+    {"commit_path", 1, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"contention", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"contention", 1, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"contention", 2, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"contention", 3, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"contention", 4, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"contention", 5, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"contention", 6, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"durable", 0, "abort_ratio,aborts,commits,fences_per_commit,log_overflowed,ops_per_sec,pfence_per_commit,psync_per_commit,pwb_per_commit,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"durable", 1, "abort_ratio,aborts,commits,fences_per_commit,log_overflowed,ops_per_sec,pfence_per_commit,psync_per_commit,pwb_per_commit,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"durable", 2, "abort_ratio,aborts,commits,fences_per_commit,log_overflowed,ops_per_sec,pfence_per_commit,psync_per_commit,pwb_per_commit,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"ext_hybrids", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"ext_hybrids", 1, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"fig1_rbtree", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"fig2_breakdown", 0, "aborts,commit_pct,commits,intertx_pct,private_pct,read_pct,reads,speedup_vs_tl2,write_pct,writes"},
+    {"fig2_breakdown", 1, "aborts,commit_pct,commits,intertx_pct,private_pct,read_pct,reads,speedup_vs_tl2,write_pct,writes"},
+    {"fig2_rbtree_mix", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"fig2_rbtree_mix", 1, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"fig3_hashtable", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"fig3_randomarray", 0, "hytm_total_ops,rh1_total_ops,speedup"},
+    {"fig3_sortedlist", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"micro_barriers", 0, "read_ns_per_access,write_ns_per_access"},
+    {"micro_barriers", 1, "overhead_pct,read_ns_per_access,read_ns_per_access_traced"},
+    {"micro_htm", 0, "commit_rate,ns_per_call,ns_per_item"},
+    {"mutating_tree", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"mutating_tree", 1, "abort_ratio,aborts,commits,mut_over_const,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"numa", 0, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"numa", 1, "compact_ops,cross_socket_penalty,scatter_ops"},
+    {"numa", 2, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"numa", 3, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"numa", 4, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"phased", 0, "abort_ratio,aborts,commits,long_op_percent,ops_per_sec,phase_seconds,phase_total_ops,total_ops,wall_seconds,wasted_speculation_pct,write_percent"},
+    {"phased", 1, "abort_ratio,aborts,commits,ops_per_sec,schedule_total_ops,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"queue", 0, "abort_ratio,aborts,commits,ops_per_sec,queue_size_after,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"queue", 1, "abort_ratio,aborts,commits,ops_per_sec,queue_size_after,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"service", 0, "abort_ratio,aborts,achieved_per_sec,commits,completed,drop_rate,dropped,max_us,offered,offered_per_sec,p50_us,p90_us,p999_us,p99_us"},
+    {"service", 1, "abort_ratio,aborts,achieved_per_sec,commits,completed,drop_rate,dropped,max_us,offered,offered_per_sec,p50_us,p90_us,p999_us,p99_us"},
+    {"service", 2, "abort_ratio,aborts,achieved_per_sec,commits,completed,drop_rate,dropped,max_us,offered,offered_per_sec,p50_us,p90_us,p999_us,p99_us"},
+    {"skiplist", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"zipfian_mix", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+    {"zipfian_mix", 1, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
+};
+// clang-format on
+
 /// One table's regression-matching keys on a single line.
 std::string table_shape(const report::TableData& table) {
   std::string out = table.title + " | " + table.x_name + " | " + table.primary_metric + " |";
@@ -182,6 +245,44 @@ std::vector<std::string> report_shapes(const report::BenchReport& rep) {
   std::vector<std::string> shapes;
   for (const report::TableData& table : rep.tables) shapes.push_back(table_shape(table));
   return shapes;
+}
+
+/// The sorted metric names a table's points report, minus the per-path
+/// and per-cause keys fill_point sets only when nonzero.
+std::set<std::string> table_metrics(const report::TableData& table) {
+  std::set<std::string> names;
+  for (const report::SeriesData& series : table.series) {
+    for (const report::Point& p : series.points) {
+      for (const report::Metric& m : p.metrics) {
+        bool counter = false;
+        for (const char* prefix : {"commits_", "attempts_", "aborts_"}) {
+          counter = counter || m.name.rfind(prefix, 0) == 0;
+        }
+        if (!counter) names.insert(m.name);
+      }
+    }
+  }
+  return names;
+}
+
+/// Every pinned metric name of the scenario's tables is still reported.
+void check_metrics(const char* scenario, const report::BenchReport& rep) {
+  for (const MetricPin& pin : kExpectedMetrics) {
+    if (std::strcmp(pin.scenario, scenario) != 0) continue;
+    CHECK(pin.table < rep.tables.size());
+    if (pin.table >= rep.tables.size()) continue;
+    const std::set<std::string> got = table_metrics(rep.tables[pin.table]);
+    for (const char* p = pin.metrics; *p != '\0';) {
+      const char* comma = std::strchr(p, ',');
+      const std::string name = comma != nullptr ? std::string(p, comma) : std::string(p);
+      if (got.count(name) == 0) {
+        std::printf("    %s table %zu no longer reports %s\n", scenario, pin.table,
+                    name.c_str());
+        CHECK(got.count(name) == 1);
+      }
+      p = comma != nullptr ? comma + 1 : p + name.size();
+    }
+  }
 }
 
 void check_shapes(const char* scenario, const std::vector<std::string>& got) {
@@ -206,6 +307,7 @@ void test_every_scenario_runs_under_sim() {
     report::BenchReport rep = s.run(opt);
     ran.insert(s.name);
     check_shapes(s.name, report_shapes(rep));
+    check_metrics(s.name, rep);
     CHECK(!rep.tables.empty());
     CHECK(!rep.substrate.empty());
     bool any_nonzero_primary = false;
@@ -227,13 +329,30 @@ void test_every_scenario_runs_under_sim() {
     CHECK(any_nonzero_primary);
   }
   for (const ShapePin& pin : kExpectedShapes) CHECK(ran.count(pin.scenario) == 1);
+  for (const MetricPin& pin : kExpectedMetrics) CHECK(ran.count(pin.scenario) == 1);
 }
 
-/// Prints every scenario's shapes as kExpectedShapes entries.
-void print_shapes() {
+/// Prints every scenario's shapes and metric names as kExpectedShapes and
+/// kExpectedMetrics entries.
+void print_pins() {
+  std::vector<std::pair<std::string, report::BenchReport>> reports;
   for (const bench::Scenario& s : bench::Registry::instance().sorted()) {
-    for (const std::string& shape : report_shapes(s.run(tiny_options()))) {
-      std::printf("    {\"%s\",\n     \"%s\"},\n", s.name, shape.c_str());
+    reports.emplace_back(s.name, s.run(tiny_options()));
+  }
+  std::printf("// kExpectedShapes\n");
+  for (const auto& [name, rep] : reports) {
+    for (const std::string& shape : report_shapes(rep)) {
+      std::printf("    {\"%s\",\n     \"%s\"},\n", name.c_str(), shape.c_str());
+    }
+  }
+  std::printf("// kExpectedMetrics\n");
+  for (const auto& [name, rep] : reports) {
+    for (std::size_t i = 0; i < rep.tables.size(); ++i) {
+      std::string joined;
+      for (const std::string& m : table_metrics(rep.tables[i])) {
+        joined += (joined.empty() ? "" : ",") + m;
+      }
+      std::printf("    {\"%s\", %zu, \"%s\"},\n", name.c_str(), i, joined.c_str());
     }
   }
 }
@@ -243,7 +362,7 @@ void print_shapes() {
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--print") == 0) {
-    rhtm::test::print_shapes();
+    rhtm::test::print_pins();
     return 0;
   }
   using rhtm::test::TestCase;
