@@ -22,6 +22,7 @@
 // and a machine-readable BENCH_<scenario>.json (core/report.h) built from
 // the same stored points.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,7 @@
 #include "core/report.h"
 #include "core/rhtm.h"
 #include "workloads/driver.h"
+#include "workloads/txn_queue.h"
 
 namespace rhtm::bench {
 
@@ -98,10 +100,11 @@ struct Options {
                  "  --no-json            skip writing the JSON reports\n"
                  "  --trace=FILE[:CAP]   record per-thread transaction event traces and\n"
                  "                       write Chrome/Perfetto trace JSON to FILE; CAP =\n"
-                 "                       per-thread ring capacity in events (default 16384)\n"
+                 "                       per-thread ring capacity in events (default 16384,\n"
+                 "                       at most %zu)\n"
                  "  --timeline=MS        sample throughput/abort/tier metrics every MS ms\n"
                  "                       into a `timeline` array in BENCH_<scenario>.json\n",
-                 argv0);
+                 argv0, trace::kMaxRingCapacity);
   }
 
   /// Strict parser: any flag it does not recognise (or a recognised flag
@@ -187,7 +190,7 @@ struct Options {
           char* end = nullptr;
           const unsigned long cap = std::strtoul(spec.c_str() + colon + 1, &end, 10);
           if (*end == '\0') {
-            if (cap == 0) die("bad ring capacity in", arg);
+            if (cap == 0 || cap > trace::kMaxRingCapacity) die("bad ring capacity in", arg);
             opt.trace_cap = static_cast<std::size_t>(cap);
             spec.resize(colon);
           }
@@ -464,8 +467,8 @@ enum class Series {
 /// Constructs the protocol instance a series names — over `universe`, with
 /// the paper's configuration for that series and `inject_bp` injection —
 /// and invokes `fn(tm)` on it. The single source of series -> protocol
-/// wiring, shared by the throughput driver below and by scenarios that
-/// drive a series through a different loop (scenario_phased's run_phased).
+/// wiring, shared by the point runner below and by scenarios that drive a
+/// series through a different loop (run_phased, run_open_loop).
 template <class H, class Fn>
 decltype(auto) with_series_tm(TmUniverse<H>& universe, Series series,
                               std::uint32_t inject_bp, Fn&& fn) {
@@ -519,33 +522,6 @@ decltype(auto) with_series_tm(TmUniverse<H>& universe, Series series,
   return fn(tm);
 }
 
-/// Runs one series point: constructs the protocol over `universe` with the
-/// paper's configuration for that series and drives `op` on `threads`
-/// threads for `seconds`. `inject_bp` is the TL2-calibrated abort ratio.
-///
-/// `op(tm, ctx, rng, tid)` must execute exactly one transaction.
-template <class H, class OpFactory>
-ThroughputResult run_series_point(TmUniverse<H>& universe, Series series, unsigned threads,
-                                  double seconds, std::uint32_t inject_bp, OpFactory&& op,
-                                  PinMode pin) {
-  return with_series_tm(universe, series, inject_bp, [&](auto& tm) {
-    return run_throughput(tm, threads, seconds, op, pin);
-  });
-}
-
-/// Paper §3.1 calibration: TL2 abort ratio for this workload at this thread
-/// count, converted to injection basis points.
-template <class H, class OpFactory>
-[[nodiscard]] std::pair<std::uint32_t, ThroughputResult> calibrate_tl2(TmUniverse<H>& universe,
-                                                                       unsigned threads,
-                                                                       double seconds,
-                                                                       OpFactory&& op,
-                                                                       PinMode pin) {
-  Tl2<H> tl2(universe);
-  ThroughputResult r = run_throughput(tl2, threads, seconds, op, pin);
-  return {AbortInjector::from_ratio(r.abort_ratio()).rate_bp(), std::move(r)};
-}
-
 /// The paper's constant-structure transaction (§3.1): a uniform key from
 /// [0, 2·size) — about half of them stored — then the update coin, then
 /// (for an update) the value, drawn in that order. `ds` is any of the
@@ -564,40 +540,136 @@ template <class DS>
   };
 }
 
-/// Standard figure loop: for each thread count, calibrate on TL2 once, then
-/// run every series with the calibrated injection, filling `table` (one
-/// series per protocol, one point per thread count). The TL2 point itself
-/// is reused from the calibration run (it *is* the TL2 series).
-/// `inject = false` keeps the TL2 run as that series' point but passes zero
-/// injection to the hardware-mode series — for scenarios whose design is
-/// explicitly "no software pressure" (ext_hybrids table a).
-/// `series_suffix` is appended to every series name, so a scenario can run
-/// the same protocol sweep over two structures into one table
-/// (scenario_mutating_tree's constant-vs-mutating headline comparison).
-template <class H, class OpFactory>
-void run_figure(TmUniverse<H>& universe, report::TableData& table,
-                const std::vector<Series>& series_list, const Options& opt, OpFactory&& op,
-                bool inject = true, const char* series_suffix = "") {
-  const std::size_t first = table.series.size();
-  for (const Series s : series_list) {
-    table.add_series(std::string(to_string(s)) + series_suffix);
-  }
-  for (const unsigned threads : opt.threads) {
-    const auto [calibrated_bp, tl2_result] =
-        calibrate_tl2(universe, threads, opt.calib_seconds, op, opt.pin);
-    const std::uint32_t inject_bp = inject ? calibrated_bp : 0;
-    for (std::size_t i = 0; i < series_list.size(); ++i) {
-      report::Point& p = table.series[first + i].add_point(threads);
-      if (series_list[i] == Series::kTl2) {
-        fill_point(p, tl2_result);
-        continue;
-      }
-      const pmu::RtmTotalsSnapshot pmu0 = pmu_snapshot(universe);
-      fill_point(p, run_series_point(universe, series_list[i], threads, opt.seconds,
-                                     inject_bp, op, opt.pin));
-      add_pmu_metrics(p, universe, pmu0);
+/// The MPMC queue transaction: `share_percent` of the `threads` workers
+/// enqueue (at least one, never all), the rest dequeue. A single-threaded
+/// run alternates roles by coin flip (an MPMC queue needs both sides to
+/// make progress).
+[[nodiscard]] inline auto queue_op(const TxnQueue& queue, unsigned threads,
+                                   unsigned share_percent) {
+  const unsigned producers =
+      threads <= 1 ? 1 : std::clamp(threads * share_percent / 100, 1u, threads - 1);
+  return [&queue, threads, producers](auto& tm, auto& ctx, Xoshiro256& rng, unsigned tid) {
+    const bool produce = threads == 1 ? rng.percent_chance(50) : tid < producers;
+    if (produce) {
+      const TmWord v = rng.next_u64();
+      tm.atomically(ctx, [&](auto& tx) { (void)queue.enqueue(tx, v); });
+    } else {
+      TmWord sink = 0;
+      tm.atomically(ctx, [&](auto& tx) { (void)queue.dequeue(tx, &sink); });
+      do_not_optimize(sink);
     }
+  };
+}
+
+/// The point hook of a scenario that adds no metrics of its own.
+struct NoPointMetrics {
+  template <class H>
+  void operator()(report::Point&, const ThroughputResult&, TmUniverse<H>&) const {}
+};
+
+/// THE point runner, the unit of every throughput sweep: one series at one
+/// thread count for opt.seconds, on a fresh universe built from `ucfg` (so
+/// no point inherits stripe, clock or log state from the one before), with
+/// `inject_bp` injected aborts. Fills `p` with fill_point plus the PMU
+/// metrics, then hands the point, the run and its universe to `metrics` for
+/// the scenario's own metrics (fences or clock publishes per commit).
+///
+/// `op(tm, ctx, rng, tid)` must execute exactly one transaction.
+template <class H, class Op, class Metrics = NoPointMetrics>
+ThroughputResult run_point(report::Point& p, const UniverseConfig& ucfg, const Options& opt,
+                           Series series, unsigned threads, std::uint32_t inject_bp, Op&& op,
+                           const Metrics& metrics = {}) {
+  TmUniverse<H> universe(ucfg);
+  const pmu::RtmTotalsSnapshot pmu0 = pmu_snapshot(universe);
+  const ThroughputResult r = with_series_tm(universe, series, inject_bp, [&](auto& tm) {
+    return run_throughput(tm, threads, opt.seconds, op, opt.pin);
+  });
+  fill_point(p, r);
+  add_pmu_metrics(p, universe, pmu0);
+  metrics(p, r, universe);
+  return r;
+}
+
+/// Paper §3.1 calibration: the TL2 point of this workload at this thread
+/// count (run for opt.calib_seconds), and its abort ratio converted to
+/// injection basis points.
+template <class H, class Op, class Metrics = NoPointMetrics>
+std::uint32_t calibrate_tl2(report::Point& p, const UniverseConfig& ucfg, const Options& opt,
+                            unsigned threads, Op&& op, const Metrics& metrics = {}) {
+  Options calib = opt;
+  calib.seconds = opt.calib_seconds;
+  const ThroughputResult r = run_point<H>(p, ucfg, calib, Series::kTl2, threads, 0, op, metrics);
+  return AbortInjector::from_ratio(r.abort_ratio()).rate_bp();
+}
+
+/// Adds one series per entry of `series_list` (named with `suffix`) to
+/// `table` and returns the index of the first.
+inline std::size_t add_series(report::TableData& table, const std::vector<Series>& series_list,
+                              const char* suffix = "") {
+  const std::size_t first = table.series.size();
+  for (const Series s : series_list) table.add_series(std::string(to_string(s)) + suffix);
+  return first;
+}
+
+/// One x value of the paper's calibrate-then-run sweep over the series of
+/// `series_list` (the first is table.series[first]; one must be TL2): the
+/// TL2 run calibrates and is the TL2 series' point, then every other series
+/// runs with the calibrated injection — or none, with `inject = false`, for
+/// scenarios designed as "no software pressure" (ext_hybrids table a).
+template <class H, class Op, class Metrics = NoPointMetrics>
+void add_calibrated_point(report::TableData& table, std::size_t first,
+                          const std::vector<Series>& series_list, const UniverseConfig& ucfg,
+                          const Options& opt, double x, unsigned threads, Op&& op,
+                          bool inject = true, const Metrics& metrics = {}) {
+  const auto tl2 = static_cast<std::size_t>(
+      std::find(series_list.begin(), series_list.end(), Series::kTl2) - series_list.begin());
+  const std::uint32_t bp =
+      calibrate_tl2<H>(table.series[first + tl2].add_point(x), ucfg, opt, threads, op, metrics);
+  for (std::size_t i = 0; i < series_list.size(); ++i) {
+    if (i == tl2) continue;
+    run_point<H>(table.series[first + i].add_point(x), ucfg, opt, series_list[i], threads,
+                 inject ? bp : 0, op, metrics);
   }
+}
+
+/// Standard figure loop: adds one series per protocol (named with
+/// `series_suffix`, so a scenario can sweep two structures into one table —
+/// scenario_mutating_tree's constant-vs-mutating comparison) and one
+/// add_calibrated_point per thread count.
+template <class H, class Op, class Metrics = NoPointMetrics>
+void run_figure(const UniverseConfig& ucfg, report::TableData& table,
+                const std::vector<Series>& series_list, const Options& opt, Op&& op,
+                bool inject = true, const char* series_suffix = "",
+                const Metrics& metrics = {}) {
+  const std::size_t first = add_series(table, series_list, series_suffix);
+  for (const unsigned threads : opt.threads) {
+    add_calibrated_point<H>(table, first, series_list, ucfg, opt, threads, threads, op, inject,
+                            metrics);
+  }
+}
+
+/// A copy of `src` under another title and primary metric: the same
+/// series and points, so the regression gate — which gates a table by its
+/// primary metric — sees that metric too.
+inline report::TableData& add_view(report::BenchReport& rep, const report::TableData& src,
+                                   std::string title, std::string primary_metric) {
+  report::TableData& t =
+      rep.add_table(std::move(title), src.style, src.x_name, std::move(primary_metric));
+  t.series = src.series;
+  return t;
+}
+
+/// `count` per committed transaction of the run (per run when none
+/// committed).
+[[nodiscard]] inline double per_commit(const ThroughputResult& r, std::uint64_t count) {
+  return static_cast<double>(count) /
+         (r.stats.commits > 0 ? static_cast<double>(r.stats.commits) : 1.0);
+}
+
+/// The largest requested thread count, where every sweep at one fixed
+/// thread count runs.
+[[nodiscard]] inline unsigned max_threads(const Options& opt) {
+  return *std::max_element(opt.threads.begin(), opt.threads.end());
 }
 
 /// Deadline-driven timing loop for the micro scenarios: runs `f` in batches

@@ -21,17 +21,16 @@ namespace {
 template <class H>
 void run_no_pressure(const Options& opt, report::BenchReport& rep) {
   ConstantRbTree tree(100'000);
-  TmUniverse<H> universe(universe_config(opt));
   report::TableData& table = rep.add_table(
       "ext-hybrids - RB-tree 100K, 20% writes, no software pressure (substrate=" +
       std::string(opt.substrate_name()) + ")");
 
   // Scenario (a) is "everything fits": zero injection for the hardware
   // series — all hybrids should land close to raw HTM.
-  run_figure(universe, table,
-             {Series::kRh1Mix100, Series::kHybridNorec, Series::kPhasedTm, Series::kStdHytm,
-              Series::kTl2},
-             opt, lookup_update_op(tree, 20), /*inject=*/false);
+  run_figure<H>(universe_config(opt), table,
+                {Series::kRh1Mix100, Series::kHybridNorec, Series::kPhasedTm, Series::kStdHytm,
+                 Series::kTl2},
+                opt, lookup_update_op(tree, 20), /*inject=*/false);
 }
 
 // Scenario (b): a small fraction of transactions genuinely exceeds the HTM
@@ -48,9 +47,9 @@ void run_capacity_pressure_table(const Options& opt, report::BenchReport& rep) {
       std::string("ext-hybrids - 2% oversized transactions (genuine capacity aborts, "
                   "substrate=") +
       SubstrateTraits<H>::kName + ")");
-  const Series series[] = {Series::kRh1Mix100, Series::kHybridNorec, Series::kPhasedTm,
-                           Series::kTl2};
-  for (const Series s : series) table.add_series(to_string(s));
+  const std::vector<Series> series = {Series::kRh1Mix100, Series::kHybridNorec,
+                                     Series::kPhasedTm, Series::kTl2};
+  add_series(table, series);
 
   const auto make_op = [&](std::vector<TVar<TmWord>>& cells) {
     return [&cells, kBulkWrites, kBulkPercent, kCells](auto& m, auto& ctx, Xoshiro256& rng,
@@ -71,12 +70,10 @@ void run_capacity_pressure_table(const Options& opt, report::BenchReport& rep) {
   };
 
   for (const unsigned threads : opt.threads) {
-    for (std::size_t i = 0; i < std::size(series); ++i) {
-      TmUniverse<H> u(universe_config(opt));  // fresh stripes and cells per point
-      std::vector<TVar<TmWord>> cells(kCells);
-      fill_point(table.series[i].add_point(threads),
-                 run_series_point(u, series[i], threads, opt.seconds, 0, make_op(cells),
-                                  opt.pin));
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      std::vector<TVar<TmWord>> cells(kCells);  // fresh cells per point
+      run_point<H>(table.series[i].add_point(threads), universe_config(opt), opt, series[i],
+                   threads, 0, make_op(cells));
     }
   }
 }

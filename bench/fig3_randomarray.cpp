@@ -19,10 +19,10 @@ constexpr unsigned kWritePercents[] = {0, 20, 50, 90};
 template <class H>
 void run_fig3_array(const Options& opt, report::BenchReport& rep) {
   RandomArray array(128 * 1024);
-  const unsigned threads = opt.threads.empty() ? 20 : opt.threads.back();
+  const unsigned threads = max_threads(opt);
   rep.set_meta("threads", std::to_string(threads));
 
-  TmUniverse<H> universe(universe_config(opt));
+  const UniverseConfig ucfg = universe_config(opt);
   report::TableData& table = rep.add_table(
       "Figure 3 right - 128K Random Array, RH1-Fast speedup vs Standard HyTM, " +
           std::to_string(threads) + " threads (substrate=" + opt.substrate_name() + ")",
@@ -35,22 +35,17 @@ void run_fig3_array(const Options& opt, report::BenchReport& rep) {
       auto op = [&array, len, write_pct](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
         tm.atomically(ctx, [&](auto& tx) { do_not_optimize(array.op(tx, rng, len, write_pct)); });
       };
-      const std::uint32_t inject_bp =
-          calibrate_tl2(universe, threads, opt.calib_seconds, op, opt.pin).first;
-      const ThroughputResult rh1 =
-          run_series_point(universe, Series::kRh1Fast, threads, opt.seconds, inject_bp, op,
-                           opt.pin);
-      const ThroughputResult hytm =
-          run_series_point(universe, Series::kStdHytm, threads, opt.seconds, inject_bp, op,
-                           opt.pin);
-      const double speedup = hytm.total_ops > 0
-                                 ? static_cast<double>(rh1.total_ops) /
-                                       static_cast<double>(hytm.total_ops)
-                                 : 0.0;
+      // The three runs fold into one speedup point; each fills this scratch.
+      report::Point run;
+      const std::uint32_t inject_bp = calibrate_tl2<H>(run, ucfg, opt, threads, op);
+      const auto rh1 = static_cast<double>(
+          run_point<H>(run, ucfg, opt, Series::kRh1Fast, threads, inject_bp, op).total_ops);
+      const auto hytm = static_cast<double>(
+          run_point<H>(run, ucfg, opt, Series::kStdHytm, threads, inject_bp, op).total_ops);
       report::Point& p = table.series[li].add_point(write_pct);
-      p.set("speedup", speedup);
-      p.set("rh1_total_ops", static_cast<double>(rh1.total_ops));
-      p.set("hytm_total_ops", static_cast<double>(hytm.total_ops));
+      p.set("speedup", hytm > 0 ? rh1 / hytm : 0.0);
+      p.set("rh1_total_ops", rh1);
+      p.set("hytm_total_ops", hytm);
     }
   }
 }

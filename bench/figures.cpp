@@ -132,14 +132,13 @@ std::string fill(std::string text, std::size_t n, unsigned write_percent, double
   return text;
 }
 
-/// One fresh universe and one run_figure table per (theta, write percent).
+/// One run_figure table per (theta, write percent).
 template <class H, class DS>
 void run_tables(const Options& opt, report::BenchReport& rep, const FigureRow& row,
                 const DS& ds) {
   const std::vector<double> thetas = row.thetas.empty() ? std::vector<double>{0} : row.thetas;
   for (const double theta : thetas) {
     for (const unsigned wp : row.write_percents) {
-      TmUniverse<H> universe(universe_config(opt));
       report::TableData& table =
           rep.add_table(fill(row.title, ds.size(), wp, theta, opt.substrate_name()));
       if constexpr (std::is_same_v<DS, RandomArray>) {
@@ -151,9 +150,9 @@ void run_tables(const Options& opt, report::BenchReport& rep, const FigureRow& r
             }));
           });
         };
-        run_figure(universe, table, row.series, opt, op);
+        run_figure<H>(universe_config(opt), table, row.series, opt, op);
       } else {
-        run_figure(universe, table, row.series, opt, lookup_update_op(ds, wp));
+        run_figure<H>(universe_config(opt), table, row.series, opt, lookup_update_op(ds, wp));
       }
     }
   }

@@ -121,25 +121,16 @@ void run_commit_path(const Options& opt, report::BenchReport& rep) {
   }
 
   // ---- table 2: throughput sweep over W (gate-visible RH1-Fast/TL2) ------
-  TmUniverse<H> sweep_universe(commit_path_universe_config());
   report::TableData& thr = rep.add_table(
       "Commit-path throughput vs write-set size (" + std::to_string(kSweepThreads) +
           " threads, substrate=" + std::string(opt.substrate_name()) + ")",
       report::TableStyle::kSweep, "writes", "total_ops");
-  report::SeriesData& thr_tl2 = thr.add_series("TL2");
-  report::SeriesData& thr_fast = thr.add_series("RH1-Fast");
-  report::SeriesData& thr_mix = thr.add_series("RH1-Mix100");
+  const std::vector<Series> sweep = {Series::kTl2, Series::kRh1Fast, Series::kRh1Mix100};
+  add_series(thr, sweep);
   for (const std::size_t w : kWriteSizes) {
-    const auto op = commit_path_op(reads, writes, zipf, w);
-    const auto [inject_bp, tl2_result] =
-        calibrate_tl2(sweep_universe, kSweepThreads, opt.calib_seconds, op, opt.pin);
-    fill_point(thr_tl2.add_point(static_cast<double>(w)), tl2_result);
-    fill_point(thr_fast.add_point(static_cast<double>(w)),
-               run_series_point(sweep_universe, Series::kRh1Fast, kSweepThreads,
-                                opt.seconds, inject_bp, op, opt.pin));
-    fill_point(thr_mix.add_point(static_cast<double>(w)),
-               run_series_point(sweep_universe, Series::kRh1Mix100, kSweepThreads,
-                                opt.seconds, inject_bp, op, opt.pin));
+    add_calibrated_point<H>(thr, 0, sweep, commit_path_universe_config(), opt,
+                            static_cast<double>(w), kSweepThreads,
+                            commit_path_op(reads, writes, zipf, w));
   }
 }
 

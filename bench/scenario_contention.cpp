@@ -59,51 +59,45 @@ constexpr std::size_t kMatrixSize = sizeof(kMatrix) / sizeof(kMatrix[0]);
   return std::string(to_string(ps.series)) + "/" + to_string(ps.policy);
 }
 
-/// Companion view of a throughput table with wasted_speculation_pct as the
-/// PRIMARY metric: same series, same points — this is what makes wasted
-/// work visible to the regression gate (scripts/check_regression.py gates a
-/// table by its primary metric, lower-is-better for this one).
-void add_wasted_view(report::BenchReport& rep, const report::TableData& src) {
-  report::TableData& t =
-      rep.add_table("Wasted speculation pct - " + src.title, report::TableStyle::kSweep,
-                    src.x_name, "wasted_speculation_pct");
-  t.series = src.series;
+/// The matrix series plus the TL2 reference (last) of a fresh table.
+void add_matrix_series(report::TableData& table) {
+  for (const PolicySeries& ps : kMatrix) table.add_series(series_name(ps));
+  table.add_series("TL2");
 }
 
-/// One table: every matrix entry (fresh universe per point — the policy is
-/// universe-wide config) plus the TL2 reference, swept over the thread list.
-/// With `inject` the hardware series get the paper's §3.1 methodology: the
-/// TL2 abort ratio of the same (workload, thread count), calibrated per
-/// point and injected as hardware-abort pressure — this is what makes the
-/// contended table CI-reproducible (RNG-driven aborts, not timing-lottery
-/// conflicts on a loaded runner).
-template <class H, class OpFactory>
-void run_matrix(report::TableData& table, const Options& opt, const UniverseConfig& base,
-                bool inject, OpFactory&& op) {
-  const std::size_t first = table.series.size();
-  for (const PolicySeries& ps : kMatrix) table.add_series(series_name(ps));
-  const std::size_t tl2_idx = table.series.size();
-  table.add_series("TL2");
+/// Every matrix entry at one x, each on a universe built from `base` with
+/// its policy (the policy is universe-wide config).
+template <class H, class Op>
+void add_matrix_points(report::TableData& table, const Options& opt, const UniverseConfig& base,
+                       double x, unsigned threads, std::uint32_t inject_bp, Op&& op) {
+  for (std::size_t i = 0; i < kMatrixSize; ++i) {
+    UniverseConfig ucfg = base;
+    ucfg.cm.policy = kMatrix[i].policy;
+    run_point<H>(table.series[i].add_point(x), ucfg, opt, kMatrix[i].series, threads, inject_bp,
+                 op);
+  }
+}
 
+/// Companion view of a throughput table with wasted_speculation_pct as the
+/// primary metric — what makes wasted work visible to the regression gate
+/// (lower is better for this one).
+void add_wasted_view(report::BenchReport& rep, const report::TableData& src) {
+  add_view(rep, src, "Wasted speculation pct - " + src.title, "wasted_speculation_pct");
+}
+
+/// The thread sweep: per thread count the TL2 reference calibrates, and
+/// with `inject` the hardware series get the paper's §3.1 methodology —
+/// the TL2 abort ratio injected as hardware-abort pressure. This is what
+/// makes the contended table CI-reproducible (RNG-driven aborts, not
+/// timing-lottery conflicts on a loaded runner).
+template <class H, class Op>
+void sweep_threads(report::TableData& table, const Options& opt, const UniverseConfig& base,
+                   bool inject, Op&& op) {
+  add_matrix_series(table);
   for (const unsigned threads : opt.threads) {
-    std::uint32_t inject_bp = 0;
-    {
-      TmUniverse<H> u(base);
-      const auto [calibrated_bp, tl2_result] =
-          calibrate_tl2(u, threads, opt.calib_seconds, op, opt.pin);
-      if (inject) inject_bp = calibrated_bp;
-      fill_point(table.series[tl2_idx].add_point(threads), tl2_result);
-    }
-    for (std::size_t i = 0; i < kMatrixSize; ++i) {
-      UniverseConfig ucfg = base;
-      ucfg.cm.policy = kMatrix[i].policy;
-      TmUniverse<H> u(ucfg);
-      report::Point& p = table.series[first + i].add_point(threads);
-      const pmu::RtmTotalsSnapshot pmu0 = pmu_snapshot(u);
-      fill_point(p, run_series_point(u, kMatrix[i].series, threads, opt.seconds,
-                                     inject_bp, op, opt.pin));
-      add_pmu_metrics(p, u, pmu0);
-    }
+    const std::uint32_t bp =
+        calibrate_tl2<H>(table.series[kMatrixSize].add_point(threads), base, opt, threads, op);
+    add_matrix_points<H>(table, opt, base, threads, threads, inject ? bp : 0, op);
   }
 }
 
@@ -113,26 +107,14 @@ void run_matrix(report::TableData& table, const Options& opt, const UniverseConf
 /// wastes one full speculative execution per transaction (50% of attempts),
 /// the adaptive manager's software mode cuts that to the probe rate
 /// (~1/probe_period).
-template <class H, class OpFactory>
-void run_pressure_matrix(report::TableData& table, const Options& opt,
-                         const UniverseConfig& base, unsigned threads, OpFactory&& op) {
-  const std::size_t first = table.series.size();
-  for (const PolicySeries& ps : kMatrix) table.add_series(series_name(ps));
-  const std::size_t tl2_idx = table.series.size();
-  table.add_series("TL2");
-
+template <class H, class Op>
+void sweep_pressure(report::TableData& table, const Options& opt, const UniverseConfig& base,
+                    unsigned threads, Op&& op) {
+  add_matrix_series(table);
   for (const std::uint32_t inject_bp : {1000u, 2500u, 5000u, 10000u}) {
-    for (std::size_t i = 0; i < kMatrixSize; ++i) {
-      UniverseConfig ucfg = base;
-      ucfg.cm.policy = kMatrix[i].policy;
-      TmUniverse<H> u(ucfg);
-      fill_point(table.series[first + i].add_point(inject_bp),
-                 run_series_point(u, kMatrix[i].series, threads, opt.seconds, inject_bp,
-                                  op, opt.pin));
-    }
-    TmUniverse<H> u(base);
-    fill_point(table.series[tl2_idx].add_point(inject_bp),
-               run_series_point(u, Series::kTl2, threads, opt.seconds, 0, op, opt.pin));
+    add_matrix_points<H>(table, opt, base, inject_bp, threads, inject_bp, op);
+    run_point<H>(table.series[kMatrixSize].add_point(inject_bp), base, opt, Series::kTl2,
+                 threads, 0, op);
   }
 }
 
@@ -151,15 +133,15 @@ void run_contention(const Options& opt, report::BenchReport& rep) {
     };
     report::TableData& t = rep.add_table(
         "Contended: 1K Zipfian theta=0.99, len=16, 50% writes, calibrated injection " + sub);
-    run_matrix<H>(t, opt, universe_config(opt), /*inject=*/true, op);
+    sweep_threads<H>(t, opt, universe_config(opt), /*inject=*/true, op);
     add_wasted_view(rep, t);
 
-    const unsigned pressure_threads = opt.threads.back();
+    const unsigned pressure_threads = max_threads(opt);
     report::TableData& pt = rep.add_table(
         "Contended Zipfian under abort pressure: " + std::to_string(pressure_threads) +
             " threads, x=inject_bp " + sub,
         report::TableStyle::kSweep, "inject_bp");
-    run_pressure_matrix<H>(pt, opt, universe_config(opt), pressure_threads, op);
+    sweep_pressure<H>(pt, opt, universe_config(opt), pressure_threads, op);
     add_wasted_view(rep, pt);
   }
 
@@ -170,8 +152,8 @@ void run_contention(const Options& opt, report::BenchReport& rep) {
         do_not_optimize(cold.op(tx, rng, /*len=*/8, /*write_percent=*/20));
       });
     };
-    run_matrix<H>(rep.add_table("Uncontended: 128K uniform, len=8, 20% writes " + sub), opt,
-                  universe_config(opt), /*inject=*/false, op);
+    sweep_threads<H>(rep.add_table("Uncontended: 128K uniform, len=8, 20% writes " + sub), opt,
+                     universe_config(opt), /*inject=*/false, op);
   }
 
   {  // (c) capacity-stressed: write sets sized past the substrate's write
@@ -187,7 +169,7 @@ void run_contention(const Options& opt, report::BenchReport& rep) {
     };
     report::TableData& t = rep.add_table(
         "Capacity-stressed: len=40 all-writes, max_write_set=16 " + sub);
-    run_matrix<H>(t, opt, ucfg, /*inject=*/false, op);
+    sweep_threads<H>(t, opt, ucfg, /*inject=*/false, op);
     add_wasted_view(rep, t);
   }
 }

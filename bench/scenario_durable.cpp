@@ -25,7 +25,6 @@
 
 #include "registry.h"
 #include "workloads/account_store.h"
-#include "workloads/txn_queue.h"
 
 namespace rhtm::bench {
 namespace {
@@ -38,8 +37,8 @@ constexpr TmWord kInitialBalance = 1 << 16;  ///< deep enough that transfers rar
 /// core/htm_only.h) and PhasedTm/StandardHytm route durable work to their
 /// software paths anyway, so the interesting matrix is the two baselines
 /// against the RH1 flavours.
-const Series kDurableSeries[] = {Series::kTl2, Series::kRh1Fast, Series::kRh1Mix100,
-                                 Series::kHybridNorec};
+const std::vector<Series> kDurableSeries = {Series::kTl2, Series::kRh1Fast,
+                                            Series::kRh1Mix100, Series::kHybridNorec};
 
 [[nodiscard]] UniverseConfig durable_universe_config(bool full) {
   UniverseConfig ucfg;
@@ -53,72 +52,16 @@ const Series kDurableSeries[] = {Series::kTl2, Series::kRh1Fast, Series::kRh1Mix
   return ucfg;
 }
 
-/// One durable throughput run plus its persistence-cost counters, taken
-/// from the run's own fresh PersistentDomain (no cross-run delta math).
-struct DurableRun {
-  ThroughputResult result;
-  FenceCounts fences;
-  bool overflowed = false;
+/// The point hook: the persistence cost of the run, from the point's own
+/// fresh PersistentDomain (no cross-run delta math).
+constexpr auto kFenceMetrics = [](report::Point& p, const ThroughputResult& r, auto& universe) {
+  const FenceCounts fences = universe.pmem().fence_counts();
+  p.set("fences_per_commit", per_commit(r, fences.total()));
+  p.set("pwb_per_commit", per_commit(r, fences.pwb));
+  p.set("pfence_per_commit", per_commit(r, fences.pfence));
+  p.set("psync_per_commit", per_commit(r, fences.psync));
+  p.set("log_overflowed", universe.pmem().log_overflowed() ? 1.0 : 0.0);
 };
-
-void fill_durable_point(report::Point& p, const DurableRun& run) {
-  fill_point(p, run.result);
-  const double commits =
-      run.result.stats.commits > 0 ? static_cast<double>(run.result.stats.commits) : 1.0;
-  p.set("fences_per_commit", static_cast<double>(run.fences.total()) / commits);
-  p.set("pwb_per_commit", static_cast<double>(run.fences.pwb) / commits);
-  p.set("pfence_per_commit", static_cast<double>(run.fences.pfence) / commits);
-  p.set("psync_per_commit", static_cast<double>(run.fences.psync) / commits);
-  p.set("log_overflowed", run.overflowed ? 1.0 : 0.0);
-}
-
-/// Runs one durable series point over a fresh durable universe. The TL2
-/// series doubles as the §3.1 calibration run: its measured abort ratio is
-/// injected into the hardware-mode series of the same point, exactly like
-/// the non-durable figures.
-template <class H, class OpFactory>
-DurableRun run_durable(Series series, unsigned threads, double seconds,
-                       std::uint32_t inject_bp, OpFactory&& op, PinMode pin, bool full) {
-  TmUniverse<H> universe(durable_universe_config(full));
-  DurableRun run;
-  run.result = run_series_point(universe, series, threads, seconds, inject_bp, op, pin);
-  run.fences = universe.pmem().fence_counts();
-  run.overflowed = universe.pmem().log_overflowed();
-  return run;
-}
-
-template <class H, class OpFactory>
-std::pair<std::uint32_t, DurableRun> calibrate_durable_tl2(unsigned threads, double seconds,
-                                                           OpFactory&& op, PinMode pin,
-                                                           bool full) {
-  TmUniverse<H> universe(durable_universe_config(full));
-  auto [inject_bp, result] = calibrate_tl2(universe, threads, seconds, op, pin);
-  DurableRun run;
-  run.result = std::move(result);
-  run.fences = universe.pmem().fence_counts();
-  run.overflowed = universe.pmem().log_overflowed();
-  return {inject_bp, std::move(run)};
-}
-
-/// Fills one thread-count point of `tables` (same runs, different primary
-/// metric per table) for every durable series.
-template <class H, class OpFactory>
-void add_durable_point(std::vector<report::TableData*> const& tables, std::size_t first,
-                       unsigned threads, const Options& opt, OpFactory&& op) {
-  const auto [inject_bp, tl2_run] =
-      calibrate_durable_tl2<H>(threads, opt.calib_seconds, op, opt.pin, opt.full);
-  std::size_t i = 0;
-  for (const Series s : kDurableSeries) {
-    DurableRun run = s == Series::kTl2
-                         ? tl2_run
-                         : run_durable<H>(s, threads, opt.seconds, inject_bp, op, opt.pin,
-                                          opt.full);
-    for (report::TableData* table : tables) {
-      fill_durable_point(table->series[first + i].add_point(threads), run);
-    }
-    ++i;
-  }
-}
 
 auto transfer_op(const AccountStore& store) {
   return [&store](auto& tm, auto& ctx, Xoshiro256& rng, unsigned) {
@@ -129,54 +72,37 @@ auto transfer_op(const AccountStore& store) {
   };
 }
 
-/// 1:1 producer/consumer split; a single-threaded run alternates roles by
-/// coin flip so both sides make progress (same shape as scenario_queue).
-auto queue_op(const TxnQueue& queue, unsigned threads) {
-  return [&queue, threads](auto& tm, auto& ctx, Xoshiro256& rng, unsigned tid) {
-    const bool produce = threads == 1 ? rng.percent_chance(50) : tid < threads / 2;
-    if (produce) {
-      const TmWord v = rng.next_u64();
-      tm.atomically(ctx, [&](auto& tx) { (void)queue.enqueue(tx, v); });
-    } else {
-      TmWord sink = 0;
-      tm.atomically(ctx, [&](auto& tx) { (void)queue.dequeue(tx, &sink); });
-      do_not_optimize(sink);
-    }
-  };
-}
-
 template <class H>
-void run_durable_scenario(const Options& opt, report::BenchReport& rep,
-                          std::size_t queue_capacity) {
+void durable_tables(const Options& opt, report::BenchReport& rep, std::size_t queue_capacity) {
+  const UniverseConfig ucfg = durable_universe_config(opt.full);
   AccountStore store(kAccounts, kInitialBalance);
   const std::string substrate(opt.substrate_name());
 
   report::TableData& kv = rep.add_table(
       "Durable KV transfer throughput vs threads (" + std::to_string(kAccounts) +
-          " accounts, redo-logged commits, substrate=" + substrate + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
-  report::TableData& fences = rep.add_table(
-      "Durable fence cost per commit, KV transfers (pwb+pfence+psync, substrate=" +
-          substrate + ")",
-      report::TableStyle::kSweep, "threads", "fences_per_commit");
-  for (const Series s : kDurableSeries) {
-    kv.add_series(to_string(s));
-    fences.add_series(to_string(s));
-  }
-  for (const unsigned threads : opt.threads) {
-    add_durable_point<H>({&kv, &fences}, 0, threads, opt, transfer_op(store));
-  }
+          " accounts, redo-logged commits, substrate=" + substrate + ")");
+  run_figure<H>(ucfg, kv, kDurableSeries, opt, transfer_op(store), true, "", kFenceMetrics);
+  add_view(rep, kv,
+           "Durable fence cost per commit, KV transfers (pwb+pfence+psync, substrate=" +
+               substrate + ")",
+           "fences_per_commit");
 
+  // Every run starts from a half-full queue: the hook refills it after
+  // each run, so no series inherits the occupancy the one before left.
   TxnQueue queue(queue_capacity);
+  queue.unsafe_reset(queue_capacity / 2);
+  const auto queue_metrics = [&](report::Point& p, const ThroughputResult& r, auto& universe) {
+    kFenceMetrics(p, r, universe);
+    queue.unsafe_reset(queue_capacity / 2);
+  };
   report::TableData& q = rep.add_table(
       "Durable MPMC queue throughput vs threads (capacity " +
           std::to_string(queue_capacity) + ", 1:1 producers:consumers, substrate=" +
-          substrate + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
-  for (const Series s : kDurableSeries) q.add_series(to_string(s));
+          substrate + ")");
+  add_series(q, kDurableSeries);
   for (const unsigned threads : opt.threads) {
-    queue.unsafe_reset(queue_capacity / 2);
-    add_durable_point<H>({&q}, 0, threads, opt, queue_op(queue, threads));
+    add_calibrated_point<H>(q, 0, kDurableSeries, ucfg, opt, threads, threads,
+                            queue_op(queue, threads, 50), true, queue_metrics);
   }
 }
 
@@ -201,7 +127,7 @@ RHTM_SCENARIO(durable, "extension (durability)",
   rep.set_meta("log_words", std::to_string(durable_universe_config(eff.full).pmem.log_words));
   if (remapped) rep.set_meta("emul_remapped_to", "sim");
   dispatch_substrate(eff, [&]<class H>(SubstrateTag<H>) {
-    run_durable_scenario<H>(eff, rep, queue_capacity);
+    durable_tables<H>(eff, rep, queue_capacity);
   });
   return rep;
 }

@@ -54,13 +54,12 @@ void run_mutating_tree(const Options& opt, report::BenchReport& rep, std::size_t
 
   {
     auto tree = make_populated_tree(domain);
-    TmUniverse<H> universe(universe_config(opt));
     report::TableData& table = rep.add_table(
         std::to_string(domain / 2) + "-node Mutating RB-Tree (domain " +
         std::to_string(domain) + "), 20% structural mutations, all protocols (substrate=" +
         std::string(opt.substrate_name()) + ")");
-    run_figure(universe, table, all_series(), opt,
-               mutating_op(*tree, domain, kWritePercent));
+    run_figure<H>(universe_config(opt), table, all_series(), opt,
+                  mutating_op(*tree, domain, kWritePercent));
   }
 
   // Headline comparison: constant vs mutating at the Fig. 1 series set,
@@ -74,15 +73,13 @@ void run_mutating_tree(const Options& opt, report::BenchReport& rep, std::size_t
       "mutations (-const overwrites in place, -mut rebalances; mut_over_const on -mut rows)");
   {
     ConstantRbTree constant(domain / 2);
-    TmUniverse<H> universe(universe_config(opt));
-    run_figure(universe, cmp, fig1_series, opt, lookup_update_op(constant, kWritePercent), true,
-               "-const");
+    run_figure<H>(universe_config(opt), cmp, fig1_series, opt,
+                  lookup_update_op(constant, kWritePercent), true, "-const");
   }
   {
     auto tree = make_populated_tree(domain);
-    TmUniverse<H> universe(universe_config(opt));
-    run_figure(universe, cmp, fig1_series, opt,
-               mutating_op(*tree, domain, kWritePercent), true, "-mut");
+    run_figure<H>(universe_config(opt), cmp, fig1_series, opt,
+                  mutating_op(*tree, domain, kWritePercent), true, "-mut");
   }
   // Quantify the gap: mutating / constant throughput per (series, x).
   for (const Series s : fig1_series) {

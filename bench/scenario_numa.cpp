@@ -39,7 +39,7 @@ constexpr TmWord kInitialBalance = 1 << 16;
 
 /// The software baseline plus the two RH1 flavours: the protocols whose
 /// clock traffic the cached mode is designed to localize.
-const Series kNumaSeries[] = {Series::kTl2, Series::kRh1Fast, Series::kRh1Mix100};
+const std::vector<Series> kNumaSeries = {Series::kTl2, Series::kRh1Fast, Series::kRh1Mix100};
 
 const NumaMode kNumaModes[] = {NumaMode::kOff, NumaMode::kShard, NumaMode::kShardClock};
 
@@ -112,39 +112,12 @@ auto socket_local_op(const AccountStore& store, const Topology& topo, unsigned s
   };
 }
 
-struct NumaRun {
-  ThroughputResult result;
-  double clock_publishes_per_commit = 0;
-  double clock_cache_refreshes_per_commit = 0;
+/// The point hook: the run's clock traffic per commit, read from the
+/// point's own fresh universe.
+constexpr auto kClockMetrics = [](report::Point& p, const ThroughputResult& r, auto& universe) {
+  p.set("clock_publishes_per_commit", per_commit(r, universe.clock().global_publishes()));
+  p.set("clock_cache_refreshes_per_commit", per_commit(r, universe.clock().local_publishes()));
 };
-
-void fill_numa_point(report::Point& p, const NumaRun& run) {
-  fill_point(p, run.result);
-  p.set("clock_publishes_per_commit", run.clock_publishes_per_commit);
-  p.set("clock_cache_refreshes_per_commit", run.clock_cache_refreshes_per_commit);
-}
-
-/// One series point over a FRESH universe built for (mode, topo): no clock
-/// or stripe state leaks between runs, so the per-commit clock counters are
-/// exactly this run's. No TL2 calibration injection — placement effects are
-/// the measurement; injected aborts would smear them.
-template <class H, class Op>
-NumaRun run_numa_point(const Options& opt, const Topology& topo, NumaMode mode, Series series,
-                       unsigned threads, Op&& op) {
-  UniverseConfig ucfg = universe_config(opt);
-  ucfg.numa = mode;
-  ucfg.topology = &topo;
-  TmUniverse<H> universe(ucfg);
-  NumaRun run;
-  run.result = run_series_point(universe, series, threads, opt.seconds, 0, op, PinMode::kNone);
-  const double commits =
-      run.result.stats.commits > 0 ? static_cast<double>(run.result.stats.commits) : 1.0;
-  run.clock_publishes_per_commit =
-      static_cast<double>(universe.clock().global_publishes()) / commits;
-  run.clock_cache_refreshes_per_commit =
-      static_cast<double>(universe.clock().local_publishes()) / commits;
-  return run;
-}
 
 template <class H>
 void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topology& topo) {
@@ -152,11 +125,24 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
   const std::string numa_name(to_string(opt.numa));
   AccountStore store(kAccounts, kInitialBalance);
 
+  // One series point on a universe built for (mode, topo). No TL2
+  // calibration injection — placement effects are the measurement;
+  // injected aborts would smear them — and no driver pinning: the ops
+  // place their own workers.
+  Options run = opt;
+  run.pin = PinMode::kNone;
+  const auto point = [&](report::Point& p, NumaMode mode, Series series, unsigned threads,
+                         const auto& op) {
+    UniverseConfig ucfg = universe_config(opt);
+    ucfg.numa = mode;
+    ucfg.topology = &topo;
+    return run_point<H>(p, ucfg, run, series, threads, 0, op, kClockMetrics);
+  };
+
   // -- tables 1+2: compact vs scatter, penalty ratio -----------------------
   report::TableData& placement = rep.add_table(
       "Compact vs scatter placement, socket-partitioned transfers (50% remote, numa=" +
-          numa_name + ", substrate=" + substrate + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
+      numa_name + ", substrate=" + substrate + ")");
   report::TableData& penalty = rep.add_table(
       "Cross-socket placement penalty (compact_ops/scatter_ops, lower is better, numa=" +
           numa_name + ")",
@@ -167,19 +153,17 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
     penalty.add_series(to_string(s));
   }
   for (const unsigned threads : opt.threads) {
-    std::size_t col = 0;
-    std::size_t row = 0;
-    for (const Series s : kNumaSeries) {
-      const NumaRun compact = run_numa_point<H>(opt, topo, opt.numa, s, threads,
-                                                numa_transfer_op(store, topo, false, 50));
-      const NumaRun scatter = run_numa_point<H>(opt, topo, opt.numa, s, threads,
-                                                numa_transfer_op(store, topo, true, 50));
-      fill_numa_point(placement.series[col].add_point(threads), compact);
-      fill_numa_point(placement.series[col + 1].add_point(threads), scatter);
-      col += 2;
-      report::Point& p = penalty.series[row++].add_point(threads);
-      const double c_ops = static_cast<double>(compact.result.total_ops);
-      const double s_ops = static_cast<double>(scatter.result.total_ops);
+    for (std::size_t i = 0; i < kNumaSeries.size(); ++i) {
+      const Series s = kNumaSeries[i];
+      const auto c_ops = static_cast<double>(
+          point(placement.series[2 * i].add_point(threads), opt.numa, s, threads,
+                numa_transfer_op(store, topo, false, 50))
+              .total_ops);
+      const auto s_ops = static_cast<double>(
+          point(placement.series[2 * i + 1].add_point(threads), opt.numa, s, threads,
+                numa_transfer_op(store, topo, true, 50))
+              .total_ops);
+      report::Point& p = penalty.series[i].add_point(threads);
       p.set("cross_socket_penalty", s_ops > 0 ? c_ops / s_ops : 0.0);
       p.set("compact_ops", c_ops);
       p.set("scatter_ops", s_ops);
@@ -187,18 +171,16 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
   }
 
   // -- table 3: remote-transfer-rate sweep ---------------------------------
-  const unsigned sweep_threads = opt.threads.back();
+  const unsigned sweep_threads = max_threads(opt);
   report::TableData& remote = rep.add_table(
       "Cross-socket transfer-rate sweep, scatter placement (threads=" +
           std::to_string(sweep_threads) + ", numa=" + numa_name + ")",
       report::TableStyle::kSweep, "remote_pct", "total_ops");
-  for (const Series s : kNumaSeries) remote.add_series(to_string(s));
+  add_series(remote, kNumaSeries);
   for (const unsigned pct : {0u, 25u, 50u, 100u}) {
-    std::size_t row = 0;
-    for (const Series s : kNumaSeries) {
-      fill_numa_point(remote.series[row++].add_point(pct),
-                      run_numa_point<H>(opt, topo, opt.numa, s, sweep_threads,
-                                        numa_transfer_op(store, topo, true, pct)));
+    for (std::size_t i = 0; i < kNumaSeries.size(); ++i) {
+      point(remote.series[i].add_point(pct), opt.numa, kNumaSeries[i], sweep_threads,
+            numa_transfer_op(store, topo, true, pct));
     }
   }
 
@@ -207,30 +189,25 @@ void run_numa_scenario(const Options& opt, report::BenchReport& rep, const Topol
       "Numa-mode sweep: clock publishes per commit (x: 0=off 1=shard 2=shard+clock, "
       "scatter, 50% remote, threads=" + std::to_string(sweep_threads) + ")",
       report::TableStyle::kSweep, "numa_mode", "clock_publishes_per_commit");
-  for (const Series s : kNumaSeries) modes.add_series(to_string(s));
+  add_series(modes, kNumaSeries);
   for (std::size_t m = 0; m < 3; ++m) {
-    std::size_t row = 0;
-    for (const Series s : kNumaSeries) {
-      fill_numa_point(modes.series[row++].add_point(static_cast<double>(m)),
-                      run_numa_point<H>(opt, topo, kNumaModes[m], s, sweep_threads,
-                                        numa_transfer_op(store, topo, true, 50)));
+    for (std::size_t i = 0; i < kNumaSeries.size(); ++i) {
+      point(modes.series[i].add_point(static_cast<double>(m)), kNumaModes[m], kNumaSeries[i],
+            sweep_threads, numa_transfer_op(store, topo, true, 50));
     }
   }
 
   // -- table 5: per-socket thread sweep (Point::socket geometry) -----------
   report::TableData& per_socket = rep.add_table(
-      "Per-socket thread sweep, socket-local transfers (numa=" + numa_name + ")",
-      report::TableStyle::kSweep, "threads", "total_ops");
-  const unsigned socket_threads[] = {1, 2};
+      "Per-socket thread sweep, socket-local transfers (numa=" + numa_name + ")");
   for (unsigned s = 0; s < topo.socket_count(); ++s) {
     for (const Series series : kNumaSeries) {
       report::SeriesData& sd =
           per_socket.add_series(std::string(to_string(series)) + "/socket" + std::to_string(s));
-      for (const unsigned threads : socket_threads) {
+      for (const unsigned threads : {1u, 2u}) {
         report::Point& p = sd.add_point(threads);
         p.socket = static_cast<int>(s);
-        fill_numa_point(p, run_numa_point<H>(opt, topo, opt.numa, series, threads,
-                                             socket_local_op(store, topo, s)));
+        point(p, opt.numa, series, threads, socket_local_op(store, topo, s));
       }
     }
   }

@@ -12,7 +12,6 @@
 // phase-aware injector; the per-phase TL2 rows report what each phase's
 // genuine software contention was).
 
-#include <algorithm>
 #include <memory>
 
 #include "registry.h"
@@ -30,7 +29,7 @@ void run_phased_scenario(const Options& opt, report::BenchReport& rep, std::size
       {"write_burst", 0.3, 80, 0, 0},
       {"snapshot", 0.3, 5, 30, snapshot_nodes},
   });
-  const unsigned threads = *std::max_element(opt.threads.begin(), opt.threads.end());
+  const unsigned threads = max_threads(opt);
   const double total_seconds = opt.seconds * static_cast<double>(schedule.size());
 
   auto tree = std::make_unique<MutatingRbTree>(domain);
@@ -61,11 +60,16 @@ void run_phased_scenario(const Options& opt, report::BenchReport& rep, std::size
     }
   };
 
-  TmUniverse<H> universe(universe_config(opt));
+  // One series run over the whole schedule, on its own universe.
+  const auto run = [&](Series s, std::uint32_t inject_bp) {
+    TmUniverse<H> universe(universe_config(opt));
+    return with_series_tm(universe, s, inject_bp, [&](auto& tm) {
+      return run_phased(tm, threads, total_seconds, schedule, op, opt.pin);
+    });
+  };
 
   // Whole-schedule TL2 calibration run (it is also the TL2 series' data).
-  Tl2<H> tl2(universe);
-  const PhasedResult tl2_result = run_phased(tl2, threads, total_seconds, schedule, op, opt.pin);
+  const PhasedResult tl2_result = run(Series::kTl2, 0);
   const std::uint32_t inject_bp =
       AbortInjector::from_ratio(tl2_result.total().abort_ratio()).rate_bp();
 
@@ -85,12 +89,7 @@ void run_phased_scenario(const Options& opt, report::BenchReport& rep, std::size
       report::TableStyle::kSweep, "threads", "schedule_total_ops");
 
   for (const Series s : all_series()) {
-    const PhasedResult result =
-        s == Series::kTl2
-            ? tl2_result
-            : with_series_tm(universe, s, inject_bp, [&](auto& tm) {
-                return run_phased(tm, threads, total_seconds, schedule, op, opt.pin);
-              });
+    const PhasedResult result = s == Series::kTl2 ? tl2_result : run(s, inject_bp);
     report::SeriesData& phase_rows = per_phase.add_series(to_string(s));
     for (std::size_t i = 0; i < schedule.size(); ++i) {
       report::Point& p = phase_rows.add_point(static_cast<double>(i));

@@ -10,67 +10,27 @@
 //     keeps the queue near full (enqueues degrade to committed no-ops), a
 //     25% share keeps it near empty.
 
-#include <algorithm>
-
 #include "registry.h"
-#include "workloads/txn_queue.h"
 
 namespace rhtm::bench {
 namespace {
 
-/// `producers` of the `threads` workers enqueue, the rest dequeue. A
-/// single-threaded run alternates roles by coin flip (an MPMC queue needs
-/// both sides to make progress).
-auto queue_op(const TxnQueue& queue, unsigned threads, unsigned producers) {
-  return [&queue, threads, producers](auto& tm, auto& ctx, Xoshiro256& rng, unsigned tid) {
-    const bool produce = threads == 1 ? rng.percent_chance(50) : tid < producers;
-    if (produce) {
-      const TmWord v = rng.next_u64();
-      tm.atomically(ctx, [&](auto& tx) { (void)queue.enqueue(tx, v); });
-    } else {
-      TmWord sink = 0;
-      tm.atomically(ctx, [&](auto& tx) { (void)queue.dequeue(tx, &sink); });
-      do_not_optimize(sink);
-    }
-  };
-}
-
-[[nodiscard]] unsigned producer_count(unsigned threads, unsigned share_percent) {
-  if (threads <= 1) return 1;
-  const unsigned p = threads * share_percent / 100;
-  return std::clamp(p, 1u, threads - 1);  // both sides always represented
-}
-
 template <class H>
 void run_queue(const Options& opt, report::BenchReport& rep, std::size_t capacity) {
+  const UniverseConfig ucfg = universe_config(opt);
+  // Every run (the TL2 calibration included) starts from a half-full queue:
+  // the hook records the occupancy the run ended with as the point's
+  // `queue_size_after`, then refills the queue to half for the next run.
   TxnQueue queue(capacity);
-  TmUniverse<H> universe(universe_config(opt));
-
-  // One measurement point shared by both tables' loops: every series (the
-  // TL2 calibration run included) starts from a half-full queue — no
-  // series inherits the occupancy the previous one drained or pegged —
-  // and each row's `queue_size_after` is the occupancy that series' own
-  // run ended with.
+  queue.unsafe_reset(capacity / 2);
+  const auto occupancy = [&](report::Point& p, const ThroughputResult&, auto&) {
+    p.set("queue_size_after", static_cast<double>(queue.unsafe_size()));
+    queue.unsafe_reset(capacity / 2);
+  };
   const auto add_point = [&](report::TableData& table, double x, unsigned threads,
                              unsigned share) {
-    auto op = queue_op(queue, threads, producer_count(threads, share));
-    queue.unsafe_reset(capacity / 2);
-    const auto [inject_bp, tl2_result] =
-        calibrate_tl2(universe, threads, opt.calib_seconds, op, opt.pin);
-    const auto tl2_size = static_cast<double>(queue.unsafe_size());
-    std::size_t i = 0;
-    for (const Series s : all_series()) {
-      report::Point& p = table.series[i++].add_point(x);
-      if (s == Series::kTl2) {
-        fill_point(p, tl2_result);
-        p.set("queue_size_after", tl2_size);
-        continue;
-      }
-      queue.unsafe_reset(capacity / 2);
-      fill_point(p,
-                 run_series_point(universe, s, threads, opt.seconds, inject_bp, op, opt.pin));
-      p.set("queue_size_after", static_cast<double>(queue.unsafe_size()));
-    }
+    add_calibrated_point<H>(table, 0, all_series(), ucfg, opt, x, threads,
+                            queue_op(queue, threads, share), true, occupancy);
   };
 
   {
@@ -78,16 +38,16 @@ void run_queue(const Options& opt, report::BenchReport& rep, std::size_t capacit
         "MPMC transactional queue, capacity " + std::to_string(capacity) +
         ", 1:1 producers:consumers, all protocols (substrate=" +
         std::string(opt.substrate_name()) + ")");
-    for (const Series s : all_series()) table.add_series(to_string(s));
+    add_series(table, all_series());
     for (const unsigned threads : opt.threads) add_point(table, threads, threads, 50);
   }
   {
-    const unsigned threads = *std::max_element(opt.threads.begin(), opt.threads.end());
+    const unsigned threads = max_threads(opt);
     report::TableData& table = rep.add_table(
         "MPMC queue producer share sweep at " + std::to_string(threads) +
         " threads (x = % of workers producing)",
         report::TableStyle::kSweep, "producer_percent");
-    for (const Series s : all_series()) table.add_series(to_string(s));
+    add_series(table, all_series());
     for (const unsigned share : {25u, 50u, 75u}) add_point(table, share, threads, share);
   }
 }

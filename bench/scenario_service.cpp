@@ -89,15 +89,15 @@ template <class H>
 void run_service(const Options& opt, report::BenchReport& rep) {
   const std::size_t accounts = opt.full ? 8192 : 1024;
   AccountStore store(accounts, /*initial=*/1000, /*shards=*/16);
-  TmUniverse<H> universe(universe_config(opt));
+  const UniverseConfig ucfg = universe_config(opt);
 
   const auto scale = opt.full ? 10.0 : 1.0;
-  const unsigned fixed_threads =
-      std::min(4u, *std::max_element(opt.threads.begin(), opt.threads.end()));
+  const unsigned fixed_threads = std::min(4u, max_threads(opt));
   const double fixed_rate = 20'000 * scale;
 
   // One open-loop measurement point: TL2 first (series + calibration), then
-  // every other protocol with the calibrated injection. One row per series.
+  // every other protocol with the calibrated injection. One row per series,
+  // each run on its own universe.
   const auto add_point = [&](report::TableData& table, double x, double rate,
                              unsigned threads, unsigned audit_percent, unsigned batch) {
     OpenLoopOptions olo;
@@ -108,25 +108,19 @@ void run_service(const Options& opt, report::BenchReport& rep) {
     olo.queue_capacity = 1024;
     olo.pin = opt.pin;
     auto op = service_op(store, audit_percent);
-    OpenLoopResult tl2;
-    {
-      Tl2<H> tm(universe);
-      tl2 = run_open_loop(tm, olo, op);
-    }
+    const auto run = [&](Series s, std::uint32_t inject_bp) {
+      TmUniverse<H> universe(ucfg);
+      return with_series_tm(universe, s, inject_bp,
+                            [&](auto& tm) { return run_open_loop(tm, olo, op); });
+    };
+    const OpenLoopResult tl2 = run(Series::kTl2, 0);
     const double a = static_cast<double>(tl2.stats.aborts);
     const double c = static_cast<double>(tl2.stats.commits);
     const std::uint32_t inject_bp =
         AbortInjector::from_ratio(a + c > 0 ? a / (a + c) : 0.0).rate_bp();
     std::size_t i = 0;
     for (const Series s : all_series()) {
-      report::Point& p = table.series[i++].add_point(x);
-      if (s == Series::kTl2) {
-        fill_open_point(p, tl2);
-        continue;
-      }
-      with_series_tm(universe, s, inject_bp, [&](auto& tm) {
-        fill_open_point(p, run_open_loop(tm, olo, op));
-      });
+      fill_open_point(table.series[i++].add_point(x), s == Series::kTl2 ? tl2 : run(s, inject_bp));
     }
   };
 
@@ -136,7 +130,7 @@ void run_service(const Options& opt, report::BenchReport& rep) {
             std::to_string(fixed_threads) + " threads (Poisson arrivals, 5% audit mix," +
             " x = offered req/s)",
         report::TableStyle::kSweep, "offered_rate", "achieved_per_sec");
-    for (const Series s : all_series()) table.add_series(to_string(s));
+    add_series(table, all_series());
     for (const double rate : {5'000 * scale, 20'000 * scale, 80'000 * scale}) {
       add_point(table, rate, rate, fixed_threads, /*audit_percent=*/5, /*batch=*/1);
     }
@@ -147,7 +141,7 @@ void run_service(const Options& opt, report::BenchReport& rep) {
             std::to_string(static_cast<long long>(fixed_rate)) +
             " req/s offered (Poisson arrivals, 5% audit mix)",
         report::TableStyle::kSweep, "threads", "achieved_per_sec");
-    for (const Series s : all_series()) table.add_series(to_string(s));
+    add_series(table, all_series());
     for (const unsigned threads : opt.threads) {
       add_point(table, threads, fixed_rate, threads, /*audit_percent=*/5, /*batch=*/1);
     }
@@ -159,7 +153,7 @@ void run_service(const Options& opt, report::BenchReport& rep) {
             std::to_string(fixed_threads) +
             " threads, batch K=4 (x = % of requests auditing a shard)",
         report::TableStyle::kSweep, "audit_percent", "achieved_per_sec");
-    for (const Series s : all_series()) table.add_series(to_string(s));
+    add_series(table, all_series());
     for (const unsigned audit : {0u, 5u, 20u}) {
       add_point(table, audit, fixed_rate, fixed_threads, audit, /*batch=*/4);
     }

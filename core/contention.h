@@ -82,13 +82,11 @@ struct CmConfig {
   // contended -> min).
   unsigned adapt_min_attempts = 1;
   unsigned adapt_max_attempts = 6;
-  unsigned ewma_shift = 3;     ///< EWMA decay: new = old + (obs - old) >> shift
   // Software mode: after this many *consecutive* hardware failures the
   // thread stops attempting hardware entirely...
   unsigned sw_streak = 4;
   // ...and re-probes hardware once every probe_period transactions.
   unsigned probe_period = 64;
-  unsigned backoff_cap_shift = 10;  ///< exponential backoff cap: 1<<cap pauses
 };
 
 namespace detail {
@@ -112,6 +110,11 @@ class ContentionManager {
     unsigned max_hw_attempts = 0;     ///< fixed attempt budget; 0 = unbounded
     unsigned capacity_retries = 2;    ///< capacity aborts before escalation
   };
+
+  /// EWMA decay: new = old + (obs - old) >> kEwmaShift.
+  static constexpr unsigned kEwmaShift = 3;
+  /// Exponential backoff cap: at most 1 << kBackoffCapShift pauses.
+  static constexpr unsigned kBackoffCapShift = 10;
 
   ContentionManager() : ContentionManager(CmConfig{}, Limits{}) {}
   ContentionManager(const CmConfig& cfg, const Limits& lim) : cfg_(cfg), lim_(lim) {
@@ -158,7 +161,7 @@ class ContentionManager {
     if (cfg_.policy == CmPolicy::kAdaptive && streak_ == cfg_.sw_streak) {
       trace::cm_event(trace_, trace::EventKind::kSwModeEnter);
     }
-    ewma_bp_ += (10000 - ewma_bp_) >> cfg_.ewma_shift;
+    ewma_bp_ += (10000 - ewma_bp_) >> kEwmaShift;
     // Deterministic overflow: retrying an over-budget transaction in
     // hardware is futile under every policy.
     if (cause == AbortCause::kHtmCapacity && ++tx_capacity_ >= lim_.capacity_retries) {
@@ -183,7 +186,7 @@ class ContentionManager {
     }
     streak_ = 0;
     since_probe_ = 0;
-    ewma_bp_ -= ewma_bp_ >> cfg_.ewma_shift;
+    ewma_bp_ -= ewma_bp_ >> kEwmaShift;
   }
 
   /// A software-path commit. Deliberately does NOT reset the failure
@@ -200,7 +203,7 @@ class ContentionManager {
     const unsigned step = tx_attempts_ > 0 ? tx_attempts_ - 1 : 0;
     switch (cfg_.policy) {
       case CmPolicy::kFixed:
-        detail::exponential_spin(step, cfg_.backoff_cap_shift);
+        detail::exponential_spin(step, kBackoffCapShift);
         return;
       case CmPolicy::kAdaptive:
         if (last_cause_ == AbortCause::kHtmCapacity) return;  // escalation imminent
@@ -209,7 +212,7 @@ class ContentionManager {
           proportional_spin(step);
           return;
         }
-        detail::exponential_spin(step, cfg_.backoff_cap_shift);
+        detail::exponential_spin(step, kBackoffCapShift);
         return;
     }
   }
@@ -218,7 +221,7 @@ class ContentionManager {
   /// validation). The step counter spans all software retries of the
   /// current transaction, mirroring the historical per-call counter.
   void backoff_software() {
-    const unsigned cap = cfg_.backoff_cap_shift;
+    const unsigned cap = kBackoffCapShift;
     detail::exponential_spin(sw_step_++, cap);
     if (sw_step_ > cap + 1) sw_step_ = cap + 1;  // saturate; spin is capped anyway
   }
@@ -227,7 +230,7 @@ class ContentionManager {
   /// reduced commit / RH2 commit conflict loop). `step` is the commit
   /// loop's own retry counter.
   void backoff_commit(unsigned step) {
-    detail::exponential_spin(step, cfg_.backoff_cap_shift);
+    detail::exponential_spin(step, kBackoffCapShift);
   }
 
   // ---- introspection (tests, metrics) -------------------------------------
@@ -252,7 +255,7 @@ class ContentionManager {
   /// a dense abort stream yields longer (there are many conflicters to
   /// drain), a thread seeing its first conflict in a while barely waits.
   void proportional_spin(unsigned step) const {
-    const unsigned cap = 1u << cfg_.backoff_cap_shift;
+    const unsigned cap = 1u << kBackoffCapShift;
     unsigned iters = (ewma_bp_ >> 5) * (step + 1);
     if (iters > cap) iters = cap;
     for (unsigned i = 0; i < iters; ++i) detail::cpu_relax();

@@ -100,8 +100,7 @@
 namespace rhtm {
 
 struct PmemConfig {
-  std::size_t log_words = std::size_t{1} << 20;    ///< 8 MiB redo-log region
-  std::size_t image_slots = std::size_t{1} << 16;  ///< durable-image table (power of 2)
+  std::size_t log_words = std::size_t{1} << 20;  ///< 8 MiB redo-log region
 };
 
 namespace pmem {
@@ -225,10 +224,12 @@ class PersistentDomain {
   /// Populate-ahead chunk: 64 KiB of log, so at most two chunks (128 KiB)
   /// are resident beyond the head.
   static constexpr std::size_t kPopulateChunkWords = (std::size_t{64} << 10) / sizeof(std::uint64_t);
+  /// Durable-image table slots (a power of two).
+  static constexpr std::size_t kImageSlots = std::size_t{1} << 16;
 
   explicit PersistentDomain(const PmemConfig& cfg = {})
       : cfg_(cfg),
-        bytes_(sizeof(Header) + cfg.image_slots * sizeof(ImageSlot) +
+        bytes_(sizeof(Header) + kImageSlots * sizeof(ImageSlot) +
                cfg.log_words * sizeof(std::uint64_t)) {
 #if defined(_WIN32)
     base_ = ::operator new(bytes_, std::align_val_t{alignof(Header)});
@@ -243,8 +244,8 @@ class PersistentDomain {
 #endif
     new (base_) Header();
     image_ = reinterpret_cast<ImageSlot*>(static_cast<char*>(base_) + sizeof(Header));
-    for (std::size_t i = 0; i < cfg_.image_slots; ++i) new (image_ + i) ImageSlot();
-    log_ = reinterpret_cast<std::uint64_t*>(image_ + cfg_.image_slots);
+    for (std::size_t i = 0; i < kImageSlots; ++i) new (image_ + i) ImageSlot();
+    log_ = reinterpret_cast<std::uint64_t*>(image_ + kImageSlots);
   }
 
   PersistentDomain(const PersistentDomain&) = delete;
@@ -370,9 +371,9 @@ class PersistentDomain {
   // --------------------------------------------------------------- image --
   [[nodiscard]] bool image_lookup(const void* addr, TmWord* out) const {
     const std::uint64_t key = reinterpret_cast<std::uintptr_t>(addr);
-    const std::size_t mask = cfg_.image_slots - 1;
+    const std::size_t mask = kImageSlots - 1;
     std::size_t i = static_cast<std::size_t>(key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-    for (std::size_t probes = 0; probes < cfg_.image_slots; ++probes) {
+    for (std::size_t probes = 0; probes < kImageSlots; ++probes) {
       const std::uint64_t a = image_[i].addr.load(std::memory_order_acquire);
       if (a == 0) return false;
       if (a == key) {
@@ -387,7 +388,7 @@ class PersistentDomain {
   /// Visits every (addr, value) pair in the durable image.
   template <class Visitor>
   void for_each_image(Visitor&& visit) const {
-    for (std::size_t i = 0; i < cfg_.image_slots; ++i) {
+    for (std::size_t i = 0; i < kImageSlots; ++i) {
       const std::uint64_t a = image_[i].addr.load(std::memory_order_acquire);
       if (a != 0) visit(a, image_[i].value.load(std::memory_order_acquire));
     }
@@ -557,9 +558,9 @@ class PersistentDomain {
   }
 
   void image_store(std::uint64_t key, TmWord value) {
-    const std::size_t mask = cfg_.image_slots - 1;
+    const std::size_t mask = kImageSlots - 1;
     std::size_t i = static_cast<std::size_t>(key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-    for (std::size_t probes = 0; probes < cfg_.image_slots; ++probes) {
+    for (std::size_t probes = 0; probes < kImageSlots; ++probes) {
       std::uint64_t a = image_[i].addr.load(std::memory_order_acquire);
       if (a == key) {
         image_[i].value.store(value, std::memory_order_release);
@@ -576,7 +577,7 @@ class PersistentDomain {
       }
       i = (i + 1) & mask;
     }
-    std::fprintf(stderr, "pmem: durable image full (%zu slots)\n", cfg_.image_slots);
+    std::fprintf(stderr, "pmem: durable image full (%zu slots)\n", kImageSlots);
     std::abort();
   }
 

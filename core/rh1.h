@@ -50,12 +50,14 @@ namespace rhtm {
 template <class H>
 class HybridTm {
  public:
+  /// Conflict retries of the reduced hardware commit before it gives up.
+  static constexpr unsigned kCommitRetries = 8;
+
   struct Config {
     std::uint32_t inject_abort_bp = 0;
     unsigned slow_retry_percent = 100;  ///< Mixed-N: % of aborts retried in software
     bool force_slow_path = false;       ///< breakdown bench: software body + HTM commit
     bool force_rh2 = false;             ///< ablation A4: visible-read slow mode
-    unsigned commit_retries = 8;        ///< reduced-commit conflict retries
     unsigned capacity_retries = 2;      ///< fast-path capacity aborts before fallback
   };
 
@@ -305,7 +307,7 @@ class HybridTm {
   /// and its stamp (locked when durable: the values published at _xend
   /// stay unreadable until hw_committed() has persisted them and unlocked
   /// to wv), then the write-set data. Retried with backoff while it
-  /// conflicts, at most commit_retries times; returns the final status.
+  /// conflicts, at most kCommitRetries times; returns the final status.
   template <class Prologue, class Check>
   HtmStatus write_set_commit(ThreadCtx& ctx, const char* path, Prologue&& prologue,
                              Check&& check) {
@@ -332,7 +334,7 @@ class HybridTm {
         return HtmStatus::kCommitted;
       }
       if (out.status == HtmStatus::kCapacity || out.status == HtmStatus::kExplicit ||
-          ++tries >= cfg_.commit_retries) {
+          ++tries >= kCommitRetries) {
         return out.status;
       }
       ctx.cm.backoff_commit(tries);

@@ -80,8 +80,29 @@ enum class AbortCause : unsigned {
   return "?";
 }
 
+namespace detail {
+
+/// One counter's current value, read atomically (relaxed): another thread
+/// may be counting it.
+[[nodiscard]] inline std::uint64_t load_counter(const std::uint64_t& c) {
+  return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(c))
+      .load(std::memory_order_relaxed);
+}
+
+/// The owning thread's increment: a relaxed load and store, no RMW — one
+/// writer per counter, so nothing can interleave.
+inline void bump_counter(std::uint64_t& c) {
+  std::atomic_ref<std::uint64_t>(c).store(load_counter(c) + 1, std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
 /// Per-thread decision counters: commits and aborts, per path and per
 /// cause. Owned by a protocol ThreadCtx; merged by the driver.
+///
+/// Each counter is a single-writer relaxed atomic: only the owning thread
+/// counts (count_*), and any thread may read it live through merge() —
+/// the metrics sampler (core/timeseries.h) does, while workers run.
 struct TxStats {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
@@ -89,25 +110,29 @@ struct TxStats {
   std::uint64_t attempts_by_path[static_cast<std::size_t>(ExecPath::kCount)] = {};
   std::uint64_t aborts_by_cause[static_cast<std::size_t>(AbortCause::kCount)] = {};
 
-  void count_attempt(ExecPath p) { ++attempts_by_path[static_cast<std::size_t>(p)]; }
+  void count_attempt(ExecPath p) {
+    detail::bump_counter(attempts_by_path[static_cast<std::size_t>(p)]);
+  }
   void count_commit(ExecPath p) {
-    ++commits;
-    ++commits_by_path[static_cast<std::size_t>(p)];
+    detail::bump_counter(commits);
+    detail::bump_counter(commits_by_path[static_cast<std::size_t>(p)]);
   }
   void count_abort(AbortCause c) {
-    ++aborts;
-    ++aborts_by_cause[static_cast<std::size_t>(c)];
+    detail::bump_counter(aborts);
+    detail::bump_counter(aborts_by_cause[static_cast<std::size_t>(c)]);
   }
 
+  /// Adds `other`'s counters, each read atomically, so `other` may be a
+  /// live worker's stats.
   void merge(const TxStats& other) {
-    commits += other.commits;
-    aborts += other.aborts;
+    commits += detail::load_counter(other.commits);
+    aborts += detail::load_counter(other.aborts);
     for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
-      commits_by_path[i] += other.commits_by_path[i];
-      attempts_by_path[i] += other.attempts_by_path[i];
+      commits_by_path[i] += detail::load_counter(other.commits_by_path[i]);
+      attempts_by_path[i] += detail::load_counter(other.attempts_by_path[i]);
     }
     for (std::size_t i = 0; i < static_cast<std::size_t>(AbortCause::kCount); ++i) {
-      aborts_by_cause[i] += other.aborts_by_cause[i];
+      aborts_by_cause[i] += detail::load_counter(other.aborts_by_cause[i]);
     }
   }
 };

@@ -9,14 +9,15 @@
 // driver — and the open-loop driver additionally registers a
 // ScopedDepthGauge for its admission-queue occupancy.
 //
-// The sampler reads live counters WHILE workers increment them. That race
-// is deliberate and benign: TxStats fields are 8-byte naturally-aligned
-// integers read with relaxed atomic loads, so each field is individually
-// torn-free; a sample may see commit counts from an instant apart across
-// fields, which is exactly the precision an interval timeline needs. What
-// must be exact is monotonicity across worker lifetimes: when a source
-// unregisters, its final counters fold into a retired accumulator, so
-// cumulative values never go backwards as worker pools come and go.
+// The sampler reads live counters WHILE workers increment them, with no
+// data race: every TxStats counter is a single-writer relaxed atomic (the
+// owner stores, TxStats::merge loads through std::atomic_ref), so each
+// field is individually torn-free; a sample may see commit counts from an
+// instant apart across fields, which is exactly the precision an interval
+// timeline needs. What must be exact is monotonicity across worker
+// lifetimes: when a source unregisters, its final counters fold into a
+// retired accumulator, so cumulative values never go backwards as worker
+// pools come and go.
 //
 // timeline_points() converts the cumulative samples into per-interval
 // report::Points (x = seconds since sampling started): ops_per_sec and
@@ -36,28 +37,6 @@
 #include "core/stats.h"
 
 namespace rhtm::timeseries {
-
-namespace detail_ts {
-
-/// Field-wise relaxed-atomic copy of a TxStats a worker may be mutating.
-inline TxStats racy_snapshot(const TxStats* s) {
-  TxStats out;
-  const auto ld = [](const std::uint64_t* p) {
-    return __atomic_load_n(p, __ATOMIC_RELAXED);
-  };
-  out.commits = ld(&s->commits);
-  out.aborts = ld(&s->aborts);
-  for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
-    out.commits_by_path[i] = ld(&s->commits_by_path[i]);
-    out.attempts_by_path[i] = ld(&s->attempts_by_path[i]);
-  }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(AbortCause::kCount); ++i) {
-    out.aborts_by_cause[i] = ld(&s->aborts_by_cause[i]);
-  }
-  return out;
-}
-
-}  // namespace detail_ts
 
 /// One interval snapshot. Stats are CUMULATIVE (retired + live at sample
 /// time); timeline_points() differences consecutive samples.
@@ -191,7 +170,7 @@ class MetricsSampler {
     Sample s;
     s.t = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
     s.stats = retired_;
-    for (const TxStats* src : live_) s.stats.merge(detail_ts::racy_snapshot(src));
+    for (const TxStats* src : live_) s.stats.merge(*src);
     for (const auto* g : gauges_) s.queue_depth += g->load(std::memory_order_relaxed);
     s.live_sources = live_.size();
     return s;

@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -176,8 +177,12 @@ class TraceRing {
   std::atomic<std::uint64_t> head_{0};
 };
 
+/// The largest ring a tracer builds: 2^22 events, 64 MiB per ring.
+inline constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 22;
+
 struct TracerConfig {
-  std::size_t ring_capacity = std::size_t{1} << 14;  ///< events per ring (rounded to pow2)
+  /// Events per ring, rounded up to a power of two in [16, kMaxRingCapacity].
+  std::size_t ring_capacity = std::size_t{1} << 14;
   std::size_t max_rings = 4096;  ///< registration ceiling; beyond it contexts run untraced
 };
 
@@ -186,9 +191,8 @@ struct TracerConfig {
 class Tracer {
  public:
   explicit Tracer(TracerConfig cfg = {}) : cfg_(cfg) {
-    std::size_t cap = 16;
-    while (cap < cfg_.ring_capacity) cap <<= 1;
-    cfg_.ring_capacity = cap;
+    cfg_.ring_capacity = std::bit_ceil(
+        std::clamp(cfg_.ring_capacity, std::size_t{16}, kMaxRingCapacity));
     tsc0_ = rdtsc();
     wall0_ = std::chrono::steady_clock::now();
   }

@@ -226,6 +226,10 @@ void test_tracer_capacity_rounding_and_denial() {
   CHECK(tracer.acquire_ring() == nullptr);  // over the ceiling: untraced, counted
   CHECK_EQ(tracer.denied_rings(), 1u);
   CHECK_EQ(tracer.ring_count(), 2u);
+  // A capacity past the ceiling clamps to it (no ring is built here); the
+  // rounding used to double until it wrapped to zero and spun forever.
+  cfg.ring_capacity = ~std::size_t{0};
+  CHECK_EQ(trace::Tracer(cfg).config().ring_capacity, trace::kMaxRingCapacity);
 }
 
 void test_cross_thread_merge() {
