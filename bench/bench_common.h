@@ -99,7 +99,8 @@ struct Options {
                  "  --json-dir=DIR       directory for BENCH_<scenario>.json (default .)\n"
                  "  --no-json            skip writing the JSON reports\n"
                  "  --trace=FILE[:CAP]   record per-thread transaction event traces and\n"
-                 "                       write Chrome/Perfetto trace JSON to FILE; CAP =\n"
+                 "                       write them to FILE (scripts/trace_summary.py\n"
+                 "                       reads it and renders Perfetto JSON); CAP =\n"
                  "                       per-thread ring capacity in events (default 16384,\n"
                  "                       at most %zu)\n"
                  "  --timeline=MS        sample throughput/abort/tier metrics every MS ms\n"

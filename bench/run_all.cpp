@@ -39,7 +39,7 @@ void dump_trace_on_anomaly(const char* reason) {
   if (g_run_tracer == nullptr || g_run_trace_path.empty()) return;
   std::fprintf(stderr, "# trace: anomaly '%s' — dumping flight recorder to %s\n",
                reason, g_run_trace_path.c_str());
-  (void)trace::write_chrome_json(*g_run_tracer, g_run_trace_path);
+  (void)trace::write_binary(*g_run_tracer, g_run_trace_path);
 }
 
 }  // namespace
@@ -49,7 +49,7 @@ int registry_main(int argc, char** argv) {
   const std::vector<Scenario> scenarios = Registry::instance().sorted();
 
   // The run-wide flight recorder: one tracer across every selected scenario
-  // (rings accumulate per ThreadCtx; the export is one Perfetto document).
+  // (rings accumulate per ThreadCtx; the file holds every ring).
   std::unique_ptr<trace::Tracer> tracer;
   if (!opt.trace_path.empty()) {
     trace::TracerConfig tcfg;
@@ -140,7 +140,7 @@ int registry_main(int argc, char** argv) {
   }
 
   if (tracer != nullptr) {
-    if (!trace::write_chrome_json(*tracer, opt.trace_path)) {
+    if (!trace::write_binary(*tracer, opt.trace_path)) {
       std::fprintf(stderr, "%s: cannot write trace to '%s'\n", argv[0],
                    opt.trace_path.c_str());
       return 1;

@@ -71,22 +71,12 @@ enum class CmPolicy : std::uint8_t { kFixed, kAdaptive };
   return false;
 }
 
-/// Universe-level contention-management configuration: the policy plus the
-/// adaptive engine's knobs. Per-protocol limits (the Mixed-N coin, the
-/// hardware attempt budget, capacity retries) live in each protocol's own
-/// Config — see ContentionManager::Limits.
+/// Universe-level contention-management configuration: the policy. The
+/// adaptive engine's thresholds are ContentionManager constants; per-protocol
+/// limits (the Mixed-N coin, the hardware attempt budget, capacity retries)
+/// live in each protocol's own Config — see ContentionManager::Limits.
 struct CmConfig {
   CmPolicy policy = CmPolicy::kFixed;
-  // Adaptive escalation thresholds: attempts-before-software interpolated
-  // between these bounds by the abort-density EWMA (quiet -> max, fully
-  // contended -> min).
-  unsigned adapt_min_attempts = 1;
-  unsigned adapt_max_attempts = 6;
-  // Software mode: after this many *consecutive* hardware failures the
-  // thread stops attempting hardware entirely...
-  unsigned sw_streak = 4;
-  // ...and re-probes hardware once every probe_period transactions.
-  unsigned probe_period = 64;
 };
 
 namespace detail {
@@ -115,14 +105,19 @@ class ContentionManager {
   static constexpr unsigned kEwmaShift = 3;
   /// Exponential backoff cap: at most 1 << kBackoffCapShift pauses.
   static constexpr unsigned kBackoffCapShift = 10;
+  /// Adaptive escalation thresholds: attempts-before-software interpolated
+  /// between these bounds by the abort-density EWMA (quiet -> max, fully
+  /// contended -> min).
+  static constexpr unsigned kAdaptMinAttempts = 1;
+  static constexpr unsigned kAdaptMaxAttempts = 6;
+  /// Software mode: after this many *consecutive* hardware failures the
+  /// thread stops attempting hardware entirely...
+  static constexpr unsigned kSwStreak = 4;
+  /// ...and re-probes hardware once every kProbePeriod transactions.
+  static constexpr unsigned kProbePeriod = 64;
 
   ContentionManager() : ContentionManager(CmConfig{}, Limits{}) {}
-  ContentionManager(const CmConfig& cfg, const Limits& lim) : cfg_(cfg), lim_(lim) {
-    if (cfg_.adapt_min_attempts == 0) cfg_.adapt_min_attempts = 1;
-    if (cfg_.adapt_max_attempts < cfg_.adapt_min_attempts) {
-      cfg_.adapt_max_attempts = cfg_.adapt_min_attempts;
-    }
-  }
+  ContentionManager(const CmConfig& cfg, const Limits& lim) : cfg_(cfg), lim_(lim) {}
 
   [[nodiscard]] CmPolicy policy() const { return cfg_.policy; }
   [[nodiscard]] const Limits& limits() const { return lim_; }
@@ -134,15 +129,15 @@ class ContentionManager {
 
   /// Start of a transaction: resets the per-transaction attempt counters
   /// and decides whether to skip hardware entirely this transaction.
-  /// Adaptive only: after sw_streak consecutive hardware failures the
+  /// Adaptive only: after kSwStreak consecutive hardware failures the
   /// thread runs software-first, re-probing hardware once every
-  /// probe_period transactions. Fixed always returns false.
+  /// kProbePeriod transactions. Fixed always returns false.
   [[nodiscard]] bool start_in_software() {
     tx_attempts_ = 0;
     tx_capacity_ = 0;
     if (cfg_.policy != CmPolicy::kAdaptive) return false;
-    if (streak_ < cfg_.sw_streak) return false;
-    if (++since_probe_ >= cfg_.probe_period) {
+    if (streak_ < kSwStreak) return false;
+    if (++since_probe_ >= kProbePeriod) {
       since_probe_ = 0;  // probe hardware again this once
       trace::cm_event(trace_, trace::EventKind::kSwModeProbe);
       return false;
@@ -158,7 +153,7 @@ class ContentionManager {
     ++tx_attempts_;
     last_cause_ = cause;
     ++streak_;
-    if (cfg_.policy == CmPolicy::kAdaptive && streak_ == cfg_.sw_streak) {
+    if (cfg_.policy == CmPolicy::kAdaptive && streak_ == kSwStreak) {
       trace::cm_event(trace_, trace::EventKind::kSwModeEnter);
     }
     ewma_bp_ += (10000 - ewma_bp_) >> kEwmaShift;
@@ -181,7 +176,7 @@ class ContentionManager {
   /// A hardware transaction committed: the streak breaks, the abort
   /// density decays, and software mode (if any) ends.
   void on_hardware_commit() {
-    if (cfg_.policy == CmPolicy::kAdaptive && streak_ >= cfg_.sw_streak) {
+    if (cfg_.policy == CmPolicy::kAdaptive && streak_ >= kSwStreak) {
       trace::cm_event(trace_, trace::EventKind::kSwModeExit);
     }
     streak_ = 0;
@@ -239,14 +234,15 @@ class ContentionManager {
   /// Consecutive hardware failures (across transactions).
   [[nodiscard]] unsigned failure_streak() const { return streak_; }
   /// The adaptive policy's current attempts-before-software threshold:
-  /// interpolated between adapt_max (quiet) and adapt_min (contended) by
-  /// the abort-density EWMA — monotonically non-increasing in density.
+  /// interpolated between kAdaptMaxAttempts (quiet) and kAdaptMinAttempts
+  /// (contended) by the abort-density EWMA — monotonically non-increasing
+  /// in density.
   [[nodiscard]] unsigned hw_threshold() const {
-    const unsigned span = cfg_.adapt_max_attempts - cfg_.adapt_min_attempts;
+    constexpr unsigned span = kAdaptMaxAttempts - kAdaptMinAttempts;
     // Round-half interpolation: the shift-based EWMA saturates a few basis
     // points shy of 10000, and a floor here would leave the threshold one
-    // above adapt_min under full contention.
-    return cfg_.adapt_max_attempts -
+    // above the minimum under full contention.
+    return kAdaptMaxAttempts -
            static_cast<unsigned>((static_cast<std::uint64_t>(span) * ewma_bp_ + 5000) / 10000);
   }
 

@@ -308,14 +308,13 @@ class PersistentDomain {
       pwb(rec);  // record header element
       for (const auto& e : entries) pwb(e.cell);  // one write-back per logged pair
     }
-    pmem::kill_point(path, "after_log");
     return txid;
   }
 
   /// Phase 2: persist the commit marker — the durability point. Everything
   /// logged before is fenced ahead of the marker, the marker ahead of the
   /// apply.
-  void durable_mark(std::uint64_t txid, const char* path) {
+  void durable_mark(std::uint64_t txid) {
     pfence();
     std::uint64_t* rec = reserve_and_lock(2);
     if (rec != nullptr) {
@@ -325,7 +324,6 @@ class PersistentDomain {
       pwb(rec);
     }
     pfence();
-    pmem::kill_point(path, "after_mark");
   }
 
   /// Phase 3: write the new values back into the durable image (one pwb per
@@ -342,13 +340,14 @@ class PersistentDomain {
       ++applied;
     }
     psync();
-    pmem::kill_point(path, "after_apply");
   }
 
   /// The durable commit step every durable path runs: log, mark (the
   /// durability point), `publish()` — the path's in-memory publication,
   /// empty where a hardware commit already published at _xend — then
-  /// apply, each phase's cycles traced on `ring`. The caller holds its
+  /// apply, each phase's cycles traced on `ring`. A phase's trace event
+  /// precedes its "after_*" kill point, so a flight-recorder dump at that
+  /// point shows every phase that completed. The caller holds its
   /// conflict locks (stripe locks, locked stamps, the NOrec sequence lock)
   /// across the whole step, so marker order is serialization order and no
   /// reader sees a value before it is durably marked; it releases them
@@ -360,12 +359,15 @@ class PersistentDomain {
     const std::uint64_t txid = durable_log(entries, path);
     const std::uint64_t t1 = rdtsc();
     trace::durable_phase(ring, trace::EventKind::kDurLog, t1 - t0);
-    durable_mark(txid, path);
+    pmem::kill_point(path, "after_log");
+    durable_mark(txid);
     trace::durable_phase(ring, trace::EventKind::kDurMark, rdtsc() - t1);
+    pmem::kill_point(path, "after_mark");
     publish();
     const std::uint64_t t2 = rdtsc();
     durable_apply(entries, path);
     trace::durable_phase(ring, trace::EventKind::kDurApply, rdtsc() - t2);
+    pmem::kill_point(path, "after_apply");
   }
 
   // --------------------------------------------------------------- image --

@@ -31,7 +31,6 @@
 #include "core/tl2.h"
 #include "core/topology.h"
 #include "core/trace.h"
-#include "core/trace_export.h"
 #include "core/universe.h"
 
 namespace rhtm {

@@ -137,6 +137,23 @@ struct TxStats {
   }
 };
 
+/// Element-wise `now - before` over every TxStats counter: the per-interval
+/// accounting primitive of the metrics sampler's timeline, the capacity
+/// sweeps and the phased driver (workloads/phase_schedule.h).
+[[nodiscard]] inline TxStats tx_stats_delta(const TxStats& now, const TxStats& before) {
+  TxStats d = now;
+  d.commits -= before.commits;
+  d.aborts -= before.aborts;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
+    d.commits_by_path[i] -= before.commits_by_path[i];
+    d.attempts_by_path[i] -= before.attempts_by_path[i];
+  }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(AbortCause::kCount); ++i) {
+    d.aborts_by_cause[i] -= before.aborts_by_cause[i];
+  }
+  return d;
+}
+
 /// Calibrated abort injection (paper §3.1): hardware-mode series replay the
 /// abort ratio measured from a TL2 run of the same configuration. Injecting
 /// per-attempt with probability r reproduces an aborts/(aborts+commits)

@@ -129,15 +129,7 @@ class MetricsSampler {
     Sample prev;  // zero baseline
     for (const Sample& s : snap) {
       const double dt = s.t - prev.t;
-      TxStats d;  // interval delta of the counters the timeline reports
-      d.commits = s.stats.commits - prev.stats.commits;
-      d.aborts = s.stats.aborts - prev.stats.aborts;
-      for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
-        d.commits_by_path[i] = s.stats.commits_by_path[i] - prev.stats.commits_by_path[i];
-      }
-      for (std::size_t i = 0; i < static_cast<std::size_t>(AbortCause::kCount); ++i) {
-        d.aborts_by_cause[i] = s.stats.aborts_by_cause[i] - prev.stats.aborts_by_cause[i];
-      }
+      const TxStats d = tx_stats_delta(s.stats, prev.stats);
       report::Point p;
       p.x = s.t;
       p.set("ops_per_sec", dt > 0 ? static_cast<double>(d.commits) / dt : 0.0);

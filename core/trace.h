@@ -26,14 +26,16 @@
 //
 // The Tracer is the per-run registry: rings are acquired (one per
 // ThreadCtx; a thread that builds N contexts over a traced run owns N
-// rings, each a separate track in the export) and stay owned by the Tracer
-// so the export can walk them after the workers have joined. Reading a
+// rings, each a separate track in the trace) and stay owned by the Tracer
+// so write_binary() can walk them after the workers have joined. Reading a
 // ring concurrently with its producer (the flight-recorder anomaly dump)
 // is best-effort by design: the release/acquire head handshake makes every
 // event below the observed head fully written.
 //
-// core/trace_export.h renders a Tracer as Chrome trace-event JSON
-// (Perfetto-loadable); scripts/trace_summary.py validates and attributes.
+// write_binary() dumps the rings as they are in memory (the file format is
+// documented at FileHeader); scripts/trace_summary.py validates the file,
+// attributes time per tier, and renders it as Chrome trace-event JSON for
+// Perfetto.
 
 #include <algorithm>
 #include <atomic>
@@ -41,8 +43,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/stats.h"
@@ -67,7 +72,7 @@ enum class EventKind : std::uint8_t {
   kClockPublish,  ///< cached clock: one cross-socket write of the global cell
 };
 
-/// Snake-case event names: the JSON export's and the tests' vocabulary.
+/// Snake-case event names: the tests' and scripts/trace_summary.py's vocabulary.
 [[nodiscard]] inline const char* to_string(EventKind k) {
   switch (k) {
     case EventKind::kTxBegin: return "tx_begin";
@@ -187,7 +192,7 @@ struct TracerConfig {
 };
 
 /// The per-run trace registry: owns every ring, plus the TSC->wall-clock
-/// calibration anchor the exporter converts timestamps with.
+/// calibration anchor the trace file carries for timestamp conversion.
 class Tracer {
  public:
   explicit Tracer(TracerConfig cfg = {}) : cfg_(cfg) {
@@ -202,7 +207,7 @@ class Tracer {
 
   /// Registers a new ring (one per protocol ThreadCtx). Returns nullptr —
   /// context runs untraced — once max_rings registrations exist; the denial
-  /// is counted so the export can say coverage was capped.
+  /// is counted so the trace file can say coverage was capped.
   [[nodiscard]] TraceRing* acquire_ring() {
     const std::lock_guard<std::mutex> lk(mu_);
     if (rings_.size() >= cfg_.max_rings) {
@@ -278,6 +283,69 @@ class Tracer {
   std::uint64_t tsc0_ = 0;
   std::chrono::steady_clock::time_point wall0_;
 };
+
+// -------------------------------------------------------------- the file --
+// --trace=FILE's format, in native byte order: one FileHeader, then per
+// ring (in registration order) a RingHeader followed by its `resident`
+// Events, oldest first — the ring's memory, 16 bytes an event. The file is
+// exactly sizeof(FileHeader) + rings * sizeof(RingHeader) + 16 * (resident
+// events) bytes. scripts/trace_summary.py is its reader (little-endian).
+
+inline constexpr char kFileMagic[8] = {'R', 'H', 'T', 'M', 'T', 'R', 'C', '\0'};
+inline constexpr std::uint32_t kFileVersion = 1;
+
+struct FileHeader {
+  char magic[8] = {};            ///< kFileMagic
+  std::uint32_t version = 0;     ///< kFileVersion
+  std::uint32_t rings = 0;       ///< RingHeaders that follow
+  double tsc_hz = 0;             ///< Tracer::tsc_hz() at write time
+  std::uint64_t tsc0 = 0;        ///< Tracer::tsc0(): the timeline's origin
+  std::uint64_t events = 0;      ///< events ever emitted, over every ring
+  std::uint64_t dropped = 0;     ///< events overwritten by wrap — exact
+  std::uint64_t denied_rings = 0;  ///< contexts that ran untraced (max_rings)
+};
+static_assert(sizeof(FileHeader) == 56, "trace file header is 56 bytes");
+
+struct RingHeader {
+  std::uint16_t id = 0;        ///< TraceRing::id(); every event's `ring`
+  std::uint16_t pad = 0;
+  std::uint32_t resident = 0;  ///< Events that follow (total - dropped)
+  std::uint64_t total = 0;     ///< events this ring ever emitted
+};
+static_assert(sizeof(RingHeader) == 16, "trace ring header is 16 bytes");
+
+/// Writes `tracer` to `path` in the format above: one fwrite of events per
+/// ring, no whole-file buffer, header counts patched in last. Safe to call
+/// while producers still emit (the anomaly dump): each ring's count is read
+/// once and its events best-effort, like every live read. Returns true on
+/// success.
+inline bool write_binary(const Tracer& tracer, const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  FileHeader h;
+  std::memcpy(h.magic, kFileMagic, sizeof h.magic);
+  h.version = kFileVersion;
+  h.tsc_hz = tracer.tsc_hz();
+  h.tsc0 = tracer.tsc0();
+  h.denied_rings = tracer.denied_rings();
+  bool ok = std::fwrite(&h, sizeof h, 1, f) == 1;
+  std::vector<Event> events;
+  tracer.for_each_ring([&](const TraceRing& r) {
+    RingHeader rh;
+    rh.id = r.id();
+    rh.total = r.total();
+    rh.resident = static_cast<std::uint32_t>(std::min<std::uint64_t>(rh.total, r.capacity()));
+    events.resize(rh.resident);
+    for (std::size_t i = 0; i < events.size(); ++i) events[i] = r.event(i);
+    ok = ok && std::fwrite(&rh, sizeof rh, 1, f) == 1 &&
+         std::fwrite(events.data(), sizeof(Event), events.size(), f) == events.size();
+    ++h.rings;
+    h.events += rh.total;
+    h.dropped += rh.total - rh.resident;
+  });
+  ok = ok && std::fseek(f, 0, SEEK_SET) == 0 && std::fwrite(&h, sizeof h, 1, f) == 1;
+  return std::fclose(f) == 0 && ok;
+}
 
 // ------------------------------------------------------- emission helpers --
 // THE disabled-path contract: each helper is one inlined null check. Every

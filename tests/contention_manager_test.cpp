@@ -90,8 +90,6 @@ void capacity_escalation_all_policies() {
   for (const CmPolicy policy : {CmPolicy::kFixed, CmPolicy::kAdaptive}) {
     CmConfig cfg;
     cfg.policy = policy;
-    cfg.adapt_min_attempts = 4;  // keep adaptive from escalating first
-    cfg.adapt_max_attempts = 8;
     ContentionManager cm(cfg, ContentionManager::Limits{0, 0, 2});
     Xoshiro256 rng(11);
     CHECK(!cm.start_in_software());
@@ -101,31 +99,34 @@ void capacity_escalation_all_policies() {
 }
 
 /// hw_threshold() is monotonically non-increasing as abort density rises,
-/// non-decreasing as it decays, and always within [adapt_min, adapt_max].
+/// non-decreasing as it decays, and always within
+/// [kAdaptMinAttempts, kAdaptMaxAttempts].
 void threshold_monotonicity() {
   CmConfig cfg;
   cfg.policy = CmPolicy::kAdaptive;
   ContentionManager cm(cfg, ContentionManager::Limits{});
   Xoshiro256 rng(3);
-  CHECK_EQ(cm.hw_threshold(), cfg.adapt_max_attempts);  // quiet start
+  constexpr unsigned kMin = ContentionManager::kAdaptMinAttempts;
+  constexpr unsigned kMax = ContentionManager::kAdaptMaxAttempts;
+  CHECK_EQ(cm.hw_threshold(), kMax);  // quiet start
   unsigned prev = cm.hw_threshold();
   for (int i = 0; i < 64; ++i) {
     (void)cm.start_in_software();
     (void)cm.give_up_hardware(AbortCause::kHtmConflict, rng);
     const unsigned t = cm.hw_threshold();
     CHECK(t <= prev);
-    CHECK(t >= cfg.adapt_min_attempts && t <= cfg.adapt_max_attempts);
+    CHECK(t >= kMin && t <= kMax);
     prev = t;
   }
-  CHECK_EQ(prev, cfg.adapt_min_attempts);  // saturated contention
+  CHECK_EQ(prev, kMin);  // saturated contention
   for (int i = 0; i < 256; ++i) {
     cm.on_hardware_commit();
     const unsigned t = cm.hw_threshold();
     CHECK(t >= prev);
-    CHECK(t >= cfg.adapt_min_attempts && t <= cfg.adapt_max_attempts);
+    CHECK(t >= kMin && t <= kMax);
     prev = t;
   }
-  CHECK_EQ(prev, cfg.adapt_max_attempts);  // fully decayed
+  CHECK_EQ(prev, kMax);  // fully decayed
 }
 
 /// Same seed + same call sequence -> identical decisions and state.
@@ -174,23 +175,22 @@ void per_thread_independence() {
   CHECK(!idle.start_in_software());
 }
 
-/// Adaptive software mode: sw_streak consecutive failures send transactions
-/// straight to software; every probe_period-th transaction re-probes
+/// Adaptive software mode: kSwStreak consecutive failures send transactions
+/// straight to software; every kProbePeriod-th transaction re-probes
 /// hardware; a hardware commit (and only a hardware commit) ends the mode.
 void adaptive_software_mode() {
   CmConfig cfg;
   cfg.policy = CmPolicy::kAdaptive;
-  cfg.sw_streak = 4;
-  cfg.probe_period = 8;
   ContentionManager cm(cfg, ContentionManager::Limits{});
   Xoshiro256 rng(17);
-  while (cm.failure_streak() < cfg.sw_streak) {
+  while (cm.failure_streak() < ContentionManager::kSwStreak) {
     CHECK(!cm.start_in_software());
     (void)cm.give_up_hardware(AbortCause::kHtmConflict, rng);
   }
+  constexpr unsigned kTxs = 2 * ContentionManager::kProbePeriod;
   unsigned software = 0;
   unsigned probes = 0;
-  for (int tx = 0; tx < 16; ++tx) {
+  for (unsigned tx = 0; tx < kTxs; ++tx) {
     if (cm.start_in_software()) {
       ++software;
       cm.on_software_commit();  // software success does NOT break the streak
@@ -199,21 +199,11 @@ void adaptive_software_mode() {
       (void)cm.give_up_hardware(AbortCause::kHtmConflict, rng);  // probe fails
     }
   }
-  CHECK_EQ(probes, 2u);      // 16 transactions / probe_period 8
-  CHECK_EQ(software, 14u);
+  CHECK_EQ(probes, 2u);      // two probe periods, one probe each
+  CHECK_EQ(software, kTxs - 2);
   cm.on_hardware_commit();   // a probe finally commits in hardware
   CHECK_EQ(cm.failure_streak(), 0u);
   CHECK(!cm.start_in_software());
-}
-
-/// Config sanitisation: a zero/inverted adaptive range is clamped sane.
-void config_clamping() {
-  CmConfig cfg;
-  cfg.policy = CmPolicy::kAdaptive;
-  cfg.adapt_min_attempts = 0;
-  cfg.adapt_max_attempts = 0;
-  ContentionManager cm(cfg, ContentionManager::Limits{});
-  CHECK_EQ(cm.hw_threshold(), 1u);  // min clamped to 1, max raised to min
 }
 
 void policy_names_round_trip() {
@@ -239,7 +229,6 @@ int main() {
       TestCase{"seeded_determinism", rhtm::seeded_determinism},
       TestCase{"per_thread_independence", rhtm::per_thread_independence},
       TestCase{"adaptive_software_mode", rhtm::adaptive_software_mode},
-      TestCase{"config_clamping", rhtm::config_clamping},
       TestCase{"policy_names_round_trip", rhtm::policy_names_round_trip},
   });
 }

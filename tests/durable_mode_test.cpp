@@ -292,7 +292,7 @@ void unmarked_record_discarded() {
   // Logged AND marked (no apply — the crash-mid-apply shape): recovery
   // replays it into the image; a second recovery is idempotent.
   const std::uint64_t txid = pd.durable_log(writes, pmem::kPathTl2);
-  pd.durable_mark(txid, pmem::kPathTl2);
+  pd.durable_mark(txid);
   st = pd.recover();
   CHECK_EQ(st.committed, std::size_t{1});
   CHECK_EQ(st.discarded, std::size_t{1});
@@ -321,7 +321,7 @@ void long_log_recovers_marked_in_marker_order() {
     // A marker ahead of its record (the next txid) matches nothing: it
     // names no record before it, so that record stays unmarked.
     const bool premature = base % 1000 == 0;
-    if (premature) pd.durable_mark(base + 1, pmem::kPathTl2);
+    if (premature) pd.durable_mark(base + 1);
     for (std::size_t i = 0; i < kBatch; ++i) {
       const TmWord v = rng.next_u64();
       const pmem::CapturedWrite w[1] = {{&cells[i], v}};
@@ -337,12 +337,12 @@ void long_log_recovers_marked_in_marker_order() {
         ++expect_discarded;
         continue;
       }
-      pd.durable_mark(txid, pmem::kPathTl2);
+      pd.durable_mark(txid);
       expect_order.push_back(txid);
     }
     if (base % 4096 == 0) {
-      pd.durable_mark(0, pmem::kPathTl2);                  // below every txid
-      pd.durable_mark(~std::uint64_t{0}, pmem::kPathTl2);  // far beyond the log
+      pd.durable_mark(0);                  // below every txid
+      pd.durable_mark(~std::uint64_t{0});  // far beyond the log
     }
   }
   CHECK(!pd.log_overflowed());
@@ -377,7 +377,7 @@ void concurrent_appends_keep_txids_dense() {
     threads.emplace_back([&, t] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
         const pmem::CapturedWrite w[1] = {{&cells[t], static_cast<TmWord>(i)}};
-        pd.durable_mark(pd.durable_log(w, pmem::kPathTl2), pmem::kPathTl2);
+        pd.durable_mark(pd.durable_log(w, pmem::kPathTl2));
       }
     });
   }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Trace smoke: run the contention scenario with the flight recorder and the
 # metrics sampler on, then have scripts/trace_summary.py --check validate the
-# Chrome JSON (structure + >=95% of in-transaction time attributed to named
-# tiers) and assert the timeline landed in the BENCH json.
+# binary trace (structure + >=95% of in-transaction time attributed to named
+# tiers), render it as Chrome JSON that must load, and assert the timeline
+# landed in the BENCH json.
 #
 # Usage: trace_smoke.sh <run_all> <trace_summary.py> <workdir>
 set -e
@@ -10,8 +11,9 @@ bin="$1"
 summary="$2"
 work="$3"
 mkdir -p "$work"
-trace="$work/trace_contention.json"
-rm -f "$trace" "$work/BENCH_contention.json"
+trace="$work/trace_contention.rhtrace"
+chrome="$work/trace_contention.json"
+rm -f "$trace" "$chrome" "$work/BENCH_contention.json"
 
 "$bin" --scenario=contention --substrate=sim --cm=adaptive \
        --seconds=0.02 --threads=2 \
@@ -19,7 +21,8 @@ rm -f "$trace" "$work/BENCH_contention.json"
 
 test -s "$trace" || { echo "no trace written"; exit 1; }
 
-python3 "$summary" "$trace" --check
+python3 "$summary" "$trace" --check --chrome "$chrome"
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$chrome"
 
 # The sampler must have produced a timeline array in the report.
 grep -q '"timeline"' "$work/BENCH_contention.json" || {

@@ -1,191 +1,41 @@
-// Trace-ring and exporter coverage (core/trace.h, core/trace_export.h):
+// Trace-ring and trace-file coverage (core/trace.h):
 //
 //  * wrap-around exactness — the ring keeps the LAST capacity events and
 //    dropped() is exact arithmetic, not an estimate;
 //  * cross-thread merge — merged_events() is one timeline ordered by TSC
 //    with every ring's own order preserved;
-//  * Chrome JSON round-trip — the exporter's output re-parsed by a minimal
-//    JSON parser (the report_test pattern) and checked event by event;
+//  * binary round-trip — write_binary()'s file read back: header counts,
+//    exact per-ring drops, every resident event byte for byte;
+//  * the anomaly dump — a forked child killed mid-commit leaves a file
+//    holding exactly the phases its transaction reached;
 //  * protocol invariants under every protocol — every abort event carries
 //    a valid AbortCause, every commit a valid ExecPath tier, and the event
 //    counts agree exactly with TxStats;
 //  * durable phase ordering — log -> mark -> apply -> commit, per
 //    transaction, on the durable TL2 commit path.
+//
+// scripts/trace_summary.py --self-test covers the reader and the Chrome
+// JSON rendering.
 
 #include "core/trace.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <mutex>
-#include <cctype>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/rhtm.h"
+#include "crash_harness.h"
 #include "test_common.h"
 
 namespace rhtm::test {
 namespace {
-
-// ------------------------------------------------- a minimal JSON parser --
-// Just enough JSON to re-parse the exporter's own output (objects, arrays,
-// strings, numbers, literals). Same shape as report_test's parser.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* get(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) throw std::runtime_error("trailing garbage");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) throw std::runtime_error("unexpected end");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) throw std::runtime_error(std::string("expected ") + c);
-    ++pos_;
-  }
-
-  JsonValue value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string = string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        v.boolean = s_[pos_] == 't';
-        pos_ += v.boolean ? 4 : 5;
-        return v;
-      }
-      case 'n': {
-        pos_ += 4;
-        return {};
-      }
-      default: return number();
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      std::string key = (peek(), string());
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) throw std::runtime_error("bad escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          default: throw std::runtime_error("bad escape char");
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= s_.size()) throw std::runtime_error("unterminated string");
-    ++pos_;
-    return out;
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) throw std::runtime_error("bad number");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = std::stod(s_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 // ------------------------------------------------------------- ring tests --
 
@@ -280,87 +130,128 @@ void test_anomaly_hook() {
   CHECK_EQ(calls.load(), 1);
 }
 
-// --------------------------------------------------- Chrome JSON round-trip --
+// ------------------------------------------------------ binary round-trip --
 
-void test_chrome_json_roundtrip() {
-  trace::Tracer tracer;
-  trace::TraceRing* r = tracer.acquire_ring();
-  CHECK(r != nullptr);
+/// A trace file read back: the header, and per ring its header and events.
+struct TraceFile {
+  trace::FileHeader header;
+  std::vector<trace::RingHeader> rings;
+  std::vector<std::vector<trace::Event>> events;  ///< per ring, oldest first
+  bool ok = false;  ///< parsed to the exact end of the file
+};
 
-  // A synthetic lifecycle: an aborted-then-committed fast transaction, a
-  // durable STM transaction, and one of each instant-event family.
-  trace::tx_begin(r);
-  trace::attempt(r, ExecPath::kRh1Fast, 1);
-  trace::abort(r, AbortCause::kHtmConflict);
-  trace::attempt(r, ExecPath::kRh1Fast, 2);
-  trace::commit(r, ExecPath::kRh1Fast);
-  trace::tx_begin(r);
-  trace::durable_phase(r, trace::EventKind::kDurLog, 1000);
-  trace::durable_phase(r, trace::EventKind::kDurMark, 500);
-  trace::durable_phase(r, trace::EventKind::kDurApply, 250);
-  trace::commit(r, ExecPath::kStm);
-  trace::cm_event(r, trace::EventKind::kSwModeEnter);
-  trace::cm_event(r, trace::EventKind::kSwModeExit);
-  trace::fallback_lock(r);
-  trace::escalate(r, ExecPath::kRh2Slow);
-
-  const std::string json = trace::chrome_json(tracer);
-  JsonValue root;
-  try {
-    root = JsonParser(json).parse();
-  } catch (const std::exception& e) {
-    std::printf("    parse error: %s\n%s\n", e.what(), json.c_str());
-    CHECK(false);
-    return;
+TraceFile read_trace_file(const std::string& path) {
+  TraceFile t;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return t;
+  bool ok = std::fread(&t.header, sizeof t.header, 1, f) == 1 &&
+            std::memcmp(t.header.magic, trace::kFileMagic, sizeof t.header.magic) == 0 &&
+            t.header.version == trace::kFileVersion;
+  for (std::uint32_t i = 0; ok && i < t.header.rings; ++i) {
+    trace::RingHeader rh;
+    ok = std::fread(&rh, sizeof rh, 1, f) == 1;
+    std::vector<trace::Event> ev(ok ? rh.resident : 0);
+    ok = ok && std::fread(ev.data(), sizeof(trace::Event), ev.size(), f) == ev.size();
+    t.rings.push_back(rh);
+    t.events.push_back(std::move(ev));
   }
+  t.ok = ok && std::fgetc(f) == EOF;
+  std::fclose(f);
+  return t;
+}
 
-  const JsonValue* other = root.get("otherData");
-  CHECK(other != nullptr && other->kind == JsonValue::Kind::kObject);
-  CHECK(other->get("schema") != nullptr &&
-        other->get("schema")->string == trace::kTraceSchemaId);
-  CHECK(other->get("rings")->number == 1);
-  CHECK(other->get("events")->number == static_cast<double>(r->total()));
-  CHECK(other->get("dropped")->number == 0);
-  CHECK(other->get("tsc_hz")->number > 0);
+std::string temp_trace_path(const char* stem) {
+  return (std::filesystem::temp_directory_path() /
+          (std::string(stem) + "_" + std::to_string(getpid()) + ".rhtrace"))
+      .string();
+}
 
-  const JsonValue* events = root.get("traceEvents");
-  CHECK(events != nullptr && events->kind == JsonValue::Kind::kArray);
+void test_binary_roundtrip() {
+  trace::TracerConfig cfg;
+  cfg.ring_capacity = 16;
+  trace::Tracer tracer(cfg);
+  trace::TraceRing* wrapped = tracer.acquire_ring();
+  trace::TraceRing* small = tracer.acquire_ring();
+  CHECK(wrapped != nullptr && small != nullptr);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    wrapped->emit(trace::EventKind::kHwAttempt, static_cast<std::uint8_t>(i % 6), i);
+  }
+  trace::tx_begin(small);
+  trace::abort(small, AbortCause::kStmLocked);
+  trace::commit(small, ExecPath::kStm);
 
-  std::size_t meta = 0;
-  std::vector<std::string> slices;   // "X" names, in document order
-  std::vector<std::string> instants; // "i" names, in document order
-  for (const JsonValue& e : events->array) {
-    const std::string ph = e.get("ph")->string;
-    const std::string name = e.get("name")->string;
-    if (ph == "M") {
-      ++meta;
-      continue;
-    }
-    CHECK(e.get("ts") != nullptr && e.get("ts")->number >= 0);
-    CHECK(e.get("pid")->number == 1);
-    CHECK(e.get("tid")->number == r->id());
-    if (ph == "X") {
-      CHECK(e.get("dur") != nullptr && e.get("dur")->number >= 0);
-      slices.push_back(name);
-      if (name.rfind("tx:", 0) == 0) {
-        const JsonValue* args = e.get("args");
-        CHECK(args != nullptr && args->get("tier") != nullptr);
-        CHECK("tx:" + args->get("tier")->string == name);
-      }
-    } else {
-      CHECK(ph == "i");
-      instants.push_back(name);
+  const std::string path = temp_trace_path("trace_test_roundtrip");
+  CHECK(trace::write_binary(tracer, path));
+  const TraceFile t = read_trace_file(path);
+  std::remove(path.c_str());
+  CHECK(t.ok);
+  if (!t.ok) return;
+  CHECK_EQ(t.header.rings, 2u);
+  CHECK_EQ(t.header.events, 43u);
+  CHECK_EQ(t.header.dropped, 24u);  // exact: the wrapped ring's 40 - 16
+  CHECK_EQ(t.header.denied_rings, 0u);
+  CHECK_EQ(t.header.tsc0, tracer.tsc0());
+  CHECK(t.header.tsc_hz > 0);
+  const trace::TraceRing* rings[] = {wrapped, small};
+  for (std::size_t k = 0; k < 2; ++k) {
+    const trace::TraceRing& r = *rings[k];
+    CHECK_EQ(t.rings[k].id, r.id());
+    CHECK_EQ(t.rings[k].total, r.total());
+    CHECK_EQ(t.rings[k].total - t.rings[k].resident, r.dropped());
+    CHECK_EQ(t.events[k].size(), r.size());
+    // Every resident event, byte for byte, oldest first.
+    for (std::size_t i = 0; i < t.events[k].size(); ++i) {
+      CHECK(std::memcmp(&t.events[k][i], &r.event(i), sizeof(trace::Event)) == 0);
     }
   }
-  CHECK_EQ(meta, 2u);  // process_name + one thread_name
-  const std::vector<std::string> want_slices = {"tx:rh1_fast", "dur:log", "dur:mark",
-                                                "dur:apply", "tx:stm"};
-  CHECK(slices == want_slices);
-  const std::vector<std::string> want_instants = {
-      "attempt:rh1_fast", "abort:htm_conflict", "attempt:rh1_fast",
-      "cm:sw_enter",      "cm:sw_exit",         "fallback_lock",
-      "esc:rh2_slow"};
-  CHECK(instants == want_instants);
+  CHECK_EQ(t.events[0].front().arg, 24u);  // the oldest survivor of the wrap
+}
+
+/// The flight-recorder dump on a simulated power failure: a forked child
+/// dies at the durability point of a traced TL2 commit; the anomaly hook's
+/// file must hold that transaction's log and mark phases and no commit.
+void test_anomaly_dump_on_crash() {
+  static trace::Tracer* s_tracer = nullptr;
+  static std::string s_path;
+  s_path = temp_trace_path("trace_test_crash");
+  std::remove(s_path.c_str());
+  const crash::ChildOutcome outcome = crash::run_crash_child([] {
+    trace::Tracer tracer;
+    UniverseConfig ucfg;
+    ucfg.tracer = &tracer;
+    ucfg.durable = true;
+    TmUniverse<HtmSim> u(ucfg);
+    Tl2<HtmSim> tm(u);
+    TVar<TmWord> var;
+    s_tracer = &tracer;
+    trace::set_anomaly_hook(+[](const char*) { (void)trace::write_binary(*s_tracer, s_path); });
+    pmem::arm_kill("tl2.after_mark");
+    Tl2<HtmSim>::ThreadCtx ctx(tm);
+    tm.atomically(ctx, [&](auto& tx) { var.write(tx, 1); });
+  });
+  CHECK(outcome == crash::ChildOutcome::kKilled);
+  const TraceFile t = read_trace_file(s_path);
+  std::remove(s_path.c_str());
+  CHECK(t.ok);
+  CHECK_EQ(t.events.size(), 1u);
+  if (!t.ok || t.events.size() != 1) return;
+  // The transaction's phase and commit events: dumped at the durability
+  // point, it logged and marked but neither applied nor committed.
+  std::vector<trace::EventKind> phases;
+  for (const trace::Event& e : t.events[0]) {
+    switch (e.event_kind()) {
+      case trace::EventKind::kDurLog:
+      case trace::EventKind::kDurMark:
+      case trace::EventKind::kDurApply:
+      case trace::EventKind::kCommit: phases.push_back(e.event_kind()); break;
+      default: break;
+    }
+  }
+  CHECK(!t.events[0].empty() &&
+        t.events[0].front().event_kind() == trace::EventKind::kTxBegin);
+  const std::vector<trace::EventKind> want = {trace::EventKind::kDurLog,
+                                              trace::EventKind::kDurMark};
+  CHECK(phases == want);
 }
 
 // ---------------------------------------------- protocol-level invariants --
@@ -543,7 +434,8 @@ int main() {
        rhtm::test::test_tracer_capacity_rounding_and_denial},
       {"cross_thread_merge", rhtm::test::test_cross_thread_merge},
       {"anomaly_hook", rhtm::test::test_anomaly_hook},
-      {"chrome_json_roundtrip", rhtm::test::test_chrome_json_roundtrip},
+      {"binary_roundtrip", rhtm::test::test_binary_roundtrip},
+      {"anomaly_dump_on_crash", rhtm::test::test_anomaly_dump_on_crash},
       {"protocol_invariants_traced", rhtm::test::test_protocol_invariants_traced},
       {"durable_phase_ordering", rhtm::test::test_durable_phase_ordering},
       {"disabled_helpers_are_noops", rhtm::test::test_disabled_helpers_are_noops},

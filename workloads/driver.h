@@ -192,23 +192,6 @@ double run_worker_pool(Tm& tm, unsigned threads, PinMode pin, Body&& body) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Element-wise `now - before` over every TxStats counter: the per-phase /
-/// per-window accounting primitive shared by run_capacity_pressure and the
-/// phased driver (workloads/phase_schedule.h).
-[[nodiscard]] inline TxStats tx_stats_delta(const TxStats& now, const TxStats& before) {
-  TxStats d = now;
-  d.commits -= before.commits;
-  d.aborts -= before.aborts;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(ExecPath::kCount); ++i) {
-    d.commits_by_path[i] -= before.commits_by_path[i];
-    d.attempts_by_path[i] -= before.attempts_by_path[i];
-  }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(AbortCause::kCount); ++i) {
-    d.aborts_by_cause[i] -= before.aborts_by_cause[i];
-  }
-  return d;
-}
-
 /// Drives `op(tm, ctx, rng, tid)` — one transaction per call — on `threads`
 /// threads for `seconds`, aggregating per-thread TxStats. A body over the
 /// shared worker-pool substrate: the deadline is checked between ops, so a
