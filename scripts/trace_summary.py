@@ -319,7 +319,7 @@ def check(problems, summary, min_attribution, out=sys.stdout):
 # ------------------------------------------------------------- self-test --
 
 def build_trace(rings, tsc_hz=1e6, tsc0=0, magic=MAGIC, version=VERSION, events=None,
-                dropped=None, denied=0):
+                dropped=None):
     """A trace file as bytes. `rings` is [(id, total, [(tsc, kind, a, arg)])];
     the header counts follow from the rings unless given."""
     body = b""
@@ -331,7 +331,7 @@ def build_trace(rings, tsc_hz=1e6, tsc0=0, magic=MAGIC, version=VERSION, events=
     if dropped is None:
         dropped = sum(total - len(evs) for _, total, evs in rings)
     return HEADER.pack(magic, version, len(rings), tsc_hz, tsc0, events, dropped,
-                       denied) + body
+                       0) + body
 
 
 def run(data, chrome=False):
