@@ -40,15 +40,17 @@ constexpr TmWord kInitialBalance = 1 << 16;  ///< deep enough that transfers rar
 const std::vector<Series> kDurableSeries = {Series::kTl2, Series::kRh1Fast,
                                             Series::kRh1Mix100, Series::kHybridNorec};
 
-[[nodiscard]] UniverseConfig durable_universe_config(bool full) {
-  UniverseConfig ucfg;
+/// The run's universe (its --cm policy, --numa geometry and --trace
+/// tracer) with durability on.
+[[nodiscard]] UniverseConfig durable_universe_config(const Options& opt) {
+  UniverseConfig ucfg = universe_config(opt);
   ucfg.durable = true;
   // One redo log per run (each point constructs a fresh universe): big
   // enough that a smoke/default run never fills it. A --full run can —
   // overflow is sticky and graceful (appends stop, the run continues), and
   // every point reports it as the log_overflowed metric so a clipped fence
   // count is never mistaken for a cheap protocol.
-  ucfg.pmem.log_words = full ? (std::size_t{1} << 24) : (std::size_t{1} << 23);
+  ucfg.pmem.log_words = opt.full ? (std::size_t{1} << 24) : (std::size_t{1} << 23);
   return ucfg;
 }
 
@@ -74,7 +76,7 @@ auto transfer_op(const AccountStore& store) {
 
 template <class H>
 void durable_tables(const Options& opt, report::BenchReport& rep, std::size_t queue_capacity) {
-  const UniverseConfig ucfg = durable_universe_config(opt.full);
+  const UniverseConfig ucfg = durable_universe_config(opt);
   AccountStore store(kAccounts, kInitialBalance);
   const std::string substrate(opt.substrate_name());
 
@@ -124,7 +126,7 @@ RHTM_SCENARIO(durable, "extension (durability)",
   rep.set_meta("workload", "durable account transfers + durable txn_queue");
   rep.set_meta("accounts", std::to_string(kAccounts));
   rep.set_meta("queue_capacity", std::to_string(queue_capacity));
-  rep.set_meta("log_words", std::to_string(durable_universe_config(eff.full).pmem.log_words));
+  rep.set_meta("log_words", std::to_string(durable_universe_config(eff).pmem.log_words));
   if (remapped) rep.set_meta("emul_remapped_to", "sim");
   dispatch_substrate(eff, [&]<class H>(SubstrateTag<H>) {
     durable_tables<H>(eff, rep, queue_capacity);

@@ -6,6 +6,7 @@
 // and the software paths can access it atomically outside one.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -13,6 +14,11 @@
 namespace rhtm {
 
 using TmWord = std::uint64_t;
+
+/// Coherence granule the layout assumptions are written against: a word
+/// that many threads write owns one of these, so that nothing read on an
+/// access path shares its line.
+inline constexpr std::size_t kCacheLineBytes = 64;
 
 struct TmCell {
   std::atomic<TmWord> word{0};

@@ -160,7 +160,7 @@ class GlobalVersionClock {
   [[nodiscard]] std::uint64_t local_publishes() const { return local_publishes_.load(); }
 
  private:
-  struct alignas(64) SocketCache {
+  struct alignas(kCacheLineBytes) SocketCache {
     TmCell cell;
   };
 

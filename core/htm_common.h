@@ -104,7 +104,13 @@ struct HtmAbort {
 /// in flight) that software read barriers bracket their stripe/data/stripe
 /// load sequences with. Substrates that also need the lock for their own
 /// commit protocol (HtmSim) drive the lock and epoch marks separately.
-class PublicationSeqlock {
+///
+/// The lock and epoch are written three or four times per commit, so they
+/// own a cache line: an embedding substrate's read-mostly members (its
+/// HtmConfig, read on every simulated access) and whatever follows it (the
+/// stripe table's configuration, read on every stripe mapping) would
+/// otherwise take a coherence miss on each of those writes.
+class alignas(kCacheLineBytes) PublicationSeqlock {
  public:
   /// One atomic batch: serialized against other publishers, epoch-marked
   /// for software readers. `entries` elements expose `.cell` and `.value`.
@@ -137,6 +143,9 @@ class PublicationSeqlock {
   std::atomic<std::uint32_t> lock_{0};
   std::atomic<TmWord> epoch_{0};
 };
+static_assert(alignof(PublicationSeqlock) == kCacheLineBytes &&
+                  sizeof(PublicationSeqlock) == kCacheLineBytes,
+              "the publication seqlock must own exactly one cache line");
 
 }  // namespace detail
 

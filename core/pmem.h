@@ -8,14 +8,17 @@
 //
 //  * persist fences — pwb (write-back one modified element), pfence (order
 //    preceding write-backs), psync (drain to the durability point). Counted
-//    no-ops: on real NVM these are CLWB/SFENCE; here each call bumps a
-//    tally in the region header, so benches report fences-per-commit and
-//    the zero-overhead contract of non-durable mode is testable. Each tally
+//    no-ops: on real NVM these are CLWB/SFENCE; here they are tallies in
+//    the region header, so benches report fences-per-commit and the
+//    zero-overhead contract of non-durable mode is testable. Each tally
 //    is a ShardedCounter: per-thread slots, summed on read and exact at
 //    quiescence, so counting does not contend where the modelled fence
-//    would not. The pwb counter models one write-back per *logged element*
-//    (a 16-byte addr/value pair or record header, each within one cache
-//    line), not physical 64-byte-line dedup.
+//    would not. Each phase adds its fences in one step (log: n+1 pwb;
+//    mark: 1 pwb, 2 pfence; apply: n pwb, 1 psync) rather than one RMW per
+//    modelled fence, with the same per-commit totals. The pwb counter
+//    models one write-back per *logged element* (a 16-byte addr/value pair
+//    or record header, each within one cache line), not physical
+//    64-byte-line dedup.
 //
 //  * redo log — the only crash-atomic structure. Every durable commit
 //    appends one data record (txid + the write-set's absolute addr/value
@@ -54,13 +57,13 @@
 // Commit protocol (log-then-fence-then-apply), one kill point per phase:
 //
 //     kill(path.before_log)
-//     append data record, pwb per element
+//     append data record; n+1 pwb (record header + n pairs)
 //     kill(path.after_log)
 //     pfence; append commit marker, pwb; pfence
 //     kill(path.after_mark)          <- the durability point
 //     ... in-memory publication (protocol-specific) ...
-//     image store + pwb per element  <- kill(path.mid_apply) halfway
-//     psync
+//     image stores                   <- kill(path.mid_apply) halfway
+//     n pwb; psync
 //     kill(path.after_apply)
 //
 // Kill points are named "<path>.<phase>"; the path names and phase names
@@ -198,21 +201,22 @@ class PersistentDomain {
 
   struct Header {
     // Append state, on a cache line of its own.
-    alignas(64) std::atomic<std::uint64_t> log_head{0};  ///< published words; scan stops here
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> log_head{0};  ///< published words; scan stops here
     std::atomic<std::uint64_t> next_txid{1};  ///< written only under log_lock
     std::atomic<std::uint32_t> log_lock{0};  ///< append spinlock (never taken by recovery)
     std::atomic<std::uint32_t> log_overflow{0};
     // Populate-ahead frontier (words), off the append line: claimed
     // outside the lock, so its CAS never bounces the line appenders spin on.
-    alignas(64) std::atomic<std::uint64_t> log_populated{0};
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> log_populated{0};
     // Fence tallies: every slot on its own line, so no counter shares one
     // with the append state or with another thread's slot.
     ShardedCounter pwb;
     ShardedCounter pfence;
     ShardedCounter psync;
   };
-  static_assert(offsetof(Header, log_populated) >= 64, "append state must own its cache line");
-  static_assert(offsetof(Header, pwb) >= offsetof(Header, log_populated) + 64,
+  static_assert(offsetof(Header, log_populated) >= kCacheLineBytes,
+                "append state must own its cache line");
+  static_assert(offsetof(Header, pwb) >= offsetof(Header, log_populated) + kCacheLineBytes,
                 "the populate frontier must own its cache line");
 
   struct ImageSlot {
@@ -260,13 +264,14 @@ class PersistentDomain {
   }
 
   // ------------------------------------------------------- persist fences --
-  void pwb(const void* /*addr*/) {
-    header().pwb.fetch_add(1);
-    pmem::g_total_pwb.fetch_add(1);
+  // Each call tallies `n` modelled fences; a phase makes one call per kind.
+  void pwb(std::uint64_t n) {
+    header().pwb.fetch_add(n);
+    pmem::g_total_pwb.fetch_add(n);
   }
-  void pfence() {
-    header().pfence.fetch_add(1);
-    pmem::g_total_pfence.fetch_add(1);
+  void pfence(std::uint64_t n) {
+    header().pfence.fetch_add(n);
+    pmem::g_total_pfence.fetch_add(n);
   }
   void psync() {
     header().psync.fetch_add(1);
@@ -280,7 +285,8 @@ class PersistentDomain {
   }
 
   // -------------------------------------------- the durable commit phases --
-  /// Phase 1: append the data record (one pwb per element). `entries`
+  /// Phase 1: append the data record (one pwb per element, counted when
+  /// the record is appended). `entries`
   /// elements expose `.cell` and `.value`. Returns the transaction id the
   /// marker and the recovery records carry — 0, which no record carries,
   /// when the log is full (a full log consumes no txid).
@@ -305,8 +311,7 @@ class PersistentDomain {
         i += 2;
       }
       publish_and_unlock(rec, 2 + 2 * n);
-      pwb(rec);  // record header element
-      for (const auto& e : entries) pwb(e.cell);  // one write-back per logged pair
+      pwb(n + 1);  // the record header plus one write-back per logged pair
     }
     return txid;
   }
@@ -315,15 +320,14 @@ class PersistentDomain {
   /// logged before is fenced ahead of the marker, the marker ahead of the
   /// apply.
   void durable_mark(std::uint64_t txid) {
-    pfence();
     std::uint64_t* rec = reserve_and_lock(2);
     if (rec != nullptr) {
       rec[0] = kMarkTag << kTagShift;
       rec[1] = txid;
       publish_and_unlock(rec, 2);
-      pwb(rec);
+      pwb(1);
     }
-    pfence();
+    pfence(2);  // one ahead of the marker, one after it
   }
 
   /// Phase 3: write the new values back into the durable image (one pwb per
@@ -336,9 +340,9 @@ class PersistentDomain {
     for (const auto& e : entries) {
       if (applied == n / 2) pmem::kill_point(path, "mid_apply");
       image_store(reinterpret_cast<std::uintptr_t>(e.cell), e.value);
-      pwb(e.cell);
       ++applied;
     }
+    pwb(n);
     psync();
   }
 

@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/cell.h"
+
 namespace rhtm {
 
 class ShardedCounter {
@@ -31,7 +33,7 @@ class ShardedCounter {
   }
 
  private:
-  struct alignas(64) Slot {
+  struct alignas(kCacheLineBytes) Slot {
     std::atomic<std::uint64_t> count{0};
   };
 

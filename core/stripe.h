@@ -200,7 +200,7 @@ class StripeTable {
   /// One socket's slice of the table. alignas keeps shard headers off each
   /// other's cache lines; the cell arrays themselves are separate (ideally
   /// socket-local) heap allocations.
-  struct alignas(64) Shard {
+  struct alignas(kCacheLineBytes) Shard {
     std::vector<TmCell> words;
     std::vector<TmCell> read_masks;
   };

@@ -23,6 +23,7 @@ threshold; 2 = usage error.
 
 import argparse
 import glob
+import io
 import json
 import os
 import sys
@@ -224,398 +225,143 @@ def compare(old_dir, new_dir, numerator, denominator, threshold, out=sys.stdout,
 
 
 def self_test():
-    def table(rh1, tl2, metric):
+    def sweep(title, metric, values, xs=(1, 2)):
+        """A sweep table whose series `name` reports values[name] * x at each x."""
         return {
-            "title": "Figure 1" if metric == "total_ops" else "latency table",
+            "title": title,
             "style": "sweep",
             "x": "threads",
             "primary_metric": metric,
             "series": [
-                {
-                    "name": name,
-                    "points": [{"x": t, "metrics": {metric: v * t}} for t in (1, 2, 4)],
-                }
-                for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
+                {"name": name, "points": [{"x": x, "metrics": {metric: v * x}} for x in xs]}
+                for name, v in values.items()
             ],
         }
 
-    def report(rh1, tl2, ns_rh1=10):
-        return {
-            "schema": "rhtm-bench-report/v1",
-            "scenario": "fig1_rbtree",
-            "substrate": "emul",
-            "tables": [
-                table(rh1, tl2, "total_ops"),
-                # Lower-is-better table: must never be gated, whichever way
-                # its ratio moves.
-                table(ns_rh1, 100, "ns_per_call"),
-            ],
-        }
+    def fig1(rh1, tl2, ns_rh1=10, extra=None):
+        """Figure 1 plus an ns_per_call table, which has no gating direction
+        and must never be gated, whichever way its ratio moves."""
+        tables = [
+            sweep("Figure 1", "total_ops", {"RH1-Fast": rh1, "TL2": tl2}, (1, 2, 4)),
+            sweep("latency table", "ns_per_call", {"RH1-Fast": ns_rh1, "TL2": 100}, (1, 2, 4)),
+        ]
+        if extra is not None:
+            tables.append(sweep(extra, "ops_per_sec", {"RH1-Fast": 500, "TL2": 100}, (1, 2, 4)))
+        return tables
 
-    def write(dirname, rep):
-        with open(os.path.join(dirname, "BENCH_fig1_rbtree.json"), "w") as f:
-            json.dump(rep, f)
-
-    sink = open(os.devnull, "w")
     with tempfile.TemporaryDirectory() as tmp:
-        old_dir = os.path.join(tmp, "old")
-        ok_dir = os.path.join(tmp, "ok")
-        bad_dir = os.path.join(tmp, "bad")
-        for d in (old_dir, ok_dir, bad_dir):
-            os.mkdir(d)
-        # Baseline ratio 5.0; "ok" run is globally 3x slower but keeps the
-        # ratio (the robustness the gate relies on); "bad" halves the ratio.
-        # Both runs swing the latency table's ratio wildly in both
-        # directions — it must stay invisible to the gate.
-        write(old_dir, report(rh1=500, tl2=100, ns_rh1=100))
-        write(ok_dir, report(rh1=167, tl2=33, ns_rh1=10))
-        write(bad_dir, report(rh1=250, tl2=100, ns_rh1=1000))
 
-        compared, regressions = compare(old_dir, ok_dir, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 3, compared
-        assert not regressions, regressions
+        def write(run, scenario, tables):
+            os.makedirs(os.path.join(tmp, run), exist_ok=True)
+            with open(os.path.join(tmp, run, f"BENCH_{scenario}.json"), "w") as f:
+                json.dump({"schema": "rhtm-bench-report/v1", "scenario": scenario,
+                           "substrate": "sim", "tables": tables}, f)
 
-        compared, regressions = compare(old_dir, bad_dir, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 3, compared
-        assert len(regressions) == 3, regressions
+        def gate(old, new, num="RH1-Fast", den="TL2", summary=None):
+            log = io.StringIO()
+            compared, regressions = compare(os.path.join(tmp, old), os.path.join(tmp, new),
+                                            num, den, 0.25, log, summary=summary)
+            return compared, regressions, log.getvalue()
 
-        # A missing baseline file is a skip, not a failure.
-        empty = os.path.join(tmp, "empty")
-        os.mkdir(empty)
-        compared, regressions = compare(empty, ok_dir, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 0 and not regressions
+        # Baseline ratio 5.0; "ok" is globally 3x slower but keeps the ratio
+        # (the robustness the gate relies on); "bad" halves it. Both swing
+        # the ungated latency table's ratio wildly in both directions. A
+        # missing baseline file is a skip, not a failure.
+        write("old", "fig1_rbtree", fig1(500, 100, ns_rh1=100))
+        write("ok", "fig1_rbtree", fig1(167, 33, ns_rh1=10))
+        write("bad", "fig1_rbtree", fig1(250, 100, ns_rh1=1000))
+        os.mkdir(os.path.join(tmp, "empty"))
+        for old, new, want_compared, want_regressions in (
+            ("old", "ok", 3, 0),
+            ("old", "bad", 3, 3),
+            ("empty", "ok", 0, 0),
+        ):
+            compared, regressions, _ = gate(old, new)
+            assert (compared, len(regressions)) == (want_compared, want_regressions), (
+                old, new, compared, regressions)
 
-        # New / removed reports and tables must surface as info lines (and
-        # never as regressions): a scenario present only in the current run
-        # is visibly ungated, one present only in the baseline is visibly
-        # gone.
-        import io
-
-        with open(os.path.join(old_dir, "BENCH_gone_scenario.json"), "w") as f:
-            json.dump(report(rh1=500, tl2=100), f)
-        with open(os.path.join(ok_dir, "BENCH_fresh_scenario.json"), "w") as f:
-            json.dump(report(rh1=500, tl2=100), f)
-        ok_grown = report(rh1=167, tl2=33)
-        ok_grown["tables"].append(table(500, 100, "ops_per_sec"))
-        ok_grown["tables"][-1]["title"] = "brand-new table"
-        write(ok_dir, ok_grown)
-        old_grown = report(rh1=500, tl2=100)
-        old_grown["tables"].append(table(500, 100, "ops_per_sec"))
-        old_grown["tables"][-1]["title"] = "retired table"
-        write(old_dir, old_grown)
-
-        log = io.StringIO()
-        compared, regressions = compare(old_dir, ok_dir, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 3, compared
-        assert not regressions, regressions
-        text = log.getvalue()
-        assert "BENCH_gone_scenario.json: removed" in text, text
-        assert "BENCH_fresh_scenario.json: new report" in text, text
-        assert "brand-new table: new table" in text, text
-        assert "retired table: table removed" in text, text
-        # The unknown-direction table is skipped VISIBLY, never silently.
-        assert "'ns_per_call' has no gating direction" in text, text
-
-        # A point present only in the current run of a table BOTH runs share
-        # must surface as an explicit "new point" info line (never silently
-        # skipped), and must not count as compared.
-        sparse_old = os.path.join(tmp, "sparse_old")
-        os.mkdir(sparse_old)
-        trimmed = report(rh1=500, tl2=100)
-        for series in trimmed["tables"][0]["series"]:
+        # New / removed reports, tables and points (of a table both runs
+        # share) surface as info lines and never as regressions: a scenario
+        # present only in the current run is visibly ungated, one present
+        # only in the baseline is visibly gone, and the unknown-direction
+        # table is skipped visibly, never silently.
+        write("old", "gone_scenario", fig1(500, 100))
+        write("ok", "fresh_scenario", fig1(500, 100))
+        write("ok", "fig1_rbtree", fig1(167, 33, extra="brand-new table"))
+        write("old", "fig1_rbtree", fig1(500, 100, extra="retired table"))
+        trimmed = fig1(500, 100)
+        for series in trimmed[0]["series"]:
             series["points"] = [p for p in series["points"] if p["x"] != 4]
-        with open(os.path.join(sparse_old, "BENCH_fig1_rbtree.json"), "w") as f:
-            json.dump(trimmed, f)
-        log = io.StringIO()
-        compared, regressions = compare(sparse_old, ok_dir, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 2, compared
-        assert not regressions, regressions
-        text = log.getvalue()
-        assert "x=4: new point (no baseline ratio" in text, text
+        write("sparse", "fig1_rbtree", trimmed)
+        for old, new, want_compared, lines in (
+            ("old", "ok", 3, ("BENCH_gone_scenario.json: removed",
+                              "BENCH_fresh_scenario.json: new report",
+                              "brand-new table: new table",
+                              "retired table: table removed",
+                              "'ns_per_call' has no gating direction")),
+            ("sparse", "ok", 2, ("x=4: new point (no baseline ratio",)),
+            ("old", "sparse", 2, ("x=4: point removed (present in baseline only",)),
+        ):
+            compared, regressions, text = gate(old, new)
+            assert compared == want_compared and not regressions, (old, new, compared, regressions)
+            for line in lines:
+                assert line in text, text
 
-        # ... and the symmetric direction: a point the BASELINE had that the
-        # current run dropped must surface as "point removed", never shrink
-        # the gated set silently.
-        sparse_new = os.path.join(tmp, "sparse_new")
-        os.mkdir(sparse_new)
-        with open(os.path.join(sparse_new, "BENCH_fig1_rbtree.json"), "w") as f:
-            json.dump(trimmed, f)
-        log = io.StringIO()
-        compared, regressions = compare(old_dir, sparse_new, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 2, compared
-        assert not regressions, regressions
-        text = log.getvalue()
-        assert "x=4: point removed (present in baseline only" in text, text
-
-        # Lower-is-better gating: the service scenario's tail-latency tables.
-        # A rising RH1/TL2 latency ratio must fail the gate; a falling one
-        # (RH1's tail got cheaper) must pass — the exact inversion of the
-        # throughput direction. achieved_per_sec rides along as
-        # higher-is-better.
-        def service_report(p99_rh1, p99_tl2, ach_rh1=400, ach_tl2=100):
-            def tbl(metric, rh1, tl2):
-                return {
-                    "title": f"service {metric} table",
-                    "style": "sweep",
-                    "x": "offered_rate",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": r, "metrics": {metric: v * r}} for r in (1, 2)
-                            ],
-                        }
-                        for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "service",
-                "substrate": "emul",
-                "tables": [
-                    tbl("p99_us", p99_rh1, p99_tl2),
-                    tbl("achieved_per_sec", ach_rh1, ach_tl2),
-                ],
-            }
-
-        svc_old = os.path.join(tmp, "svc_old")
-        svc_ok = os.path.join(tmp, "svc_ok")
-        svc_bad = os.path.join(tmp, "svc_bad")
-        svc_improved = os.path.join(tmp, "svc_improved")
-        for d in (svc_old, svc_ok, svc_bad, svc_improved):
-            os.mkdir(d)
-
-        def write_svc(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_service.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline: p99 ratio 0.5, achieved ratio 4.0.
-        write_svc(svc_old, service_report(p99_rh1=50, p99_tl2=100))
-        # Globally 2x slower run, ratios preserved: passes.
-        write_svc(svc_ok, service_report(p99_rh1=100, p99_tl2=200, ach_rh1=200, ach_tl2=50))
-        # RH1's tail doubled relative to TL2 (ratio 0.5 -> 1.0): must FAIL,
-        # while the unchanged achieved table stays green.
-        write_svc(svc_bad, service_report(p99_rh1=100, p99_tl2=100))
-        # RH1's tail halved relative to TL2 (ratio 0.5 -> 0.25): an
-        # improvement, must PASS (under throughput direction this 0.5x change
-        # would have been flagged).
-        write_svc(svc_improved, service_report(p99_rh1=25, p99_tl2=100))
-
-        compared, regressions = compare(svc_old, svc_ok, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(svc_old, svc_bad, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(r[1] == "service p99_us table" for r in regressions), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
-
-        compared, regressions = compare(
-            svc_old, svc_improved, "RH1-Fast", "TL2", 0.25, sink
+        # Lower-is-better gating: each scenario whose gated metric is latency-
+        # or cost-shaped, next to a higher-is-better rider table. The gated
+        # ratio rising past the bound ("bad") must FAIL and blame only that
+        # table; holding or falling must PASS. Per run:
+        # ((gated numerator, denominator), (rider numerator, denominator)).
+        families = (
+            ("service", "RH1-Fast", "TL2", "p99_us", "achieved_per_sec", {
+                "old": ((50, 100), (400, 100)),
+                "ok": ((100, 200), (200, 50)),  # globally 2x slower, ratios kept
+                "bad": ((100, 100), (400, 100)),  # RH1's tail doubled vs TL2
+                # RH1's tail halved: an improvement, though a 0.5x change
+                # would trip the throughput direction.
+                "improved": ((25, 100), (400, 100)),
+            }),
+            # Baseline fence ratio 1.0 (the path-independent fence arithmetic).
+            ("durable", "RH1-Fast", "TL2", "fences_per_commit", "total_ops", {
+                "old": ((9, 9), (300, 100)),
+                "ok": ((4.5, 9), (300, 100)),
+                "bad": ((18, 9), (300, 100)),
+            }),
+            # Gated with the contention scenario's own pair, not RH1-Fast/TL2.
+            ("contention", "RH1-Mix100/adaptive", "RH1-Mix100/fixed",
+             "wasted_speculation_pct", "total_ops", {
+                 "old": ((10, 20), (300, 100)),
+                 "ok": ((5, 20), (300, 100)),
+                 "bad": ((20, 20), (300, 100)),
+             }),
+            ("numa", "RH1-Fast", "TL2", "cross_socket_penalty", "total_ops", {
+                "old": ((2, 2), (300, 100)),
+                "ok": ((1, 2), (300, 100)),
+                "bad": ((4, 2), (300, 100)),
+            }),
         )
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        # fences_per_commit gating: the durable scenario's persistence-cost
-        # tables are lower-is-better too. RH1 paying more fences per commit
-        # relative to TL2 must FAIL; the fence ratio holding (or dropping)
-        # while throughput rides along must PASS.
-        def durable_report(fpc_rh1, fpc_tl2, ops_rh1=300, ops_tl2=100):
-            def tbl(metric, rh1, tl2):
-                return {
-                    "title": f"durable {metric} table",
-                    "style": "sweep",
-                    "x": "threads",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": t, "metrics": {metric: v * t}} for t in (1, 2)
-                            ],
-                        }
-                        for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "durable",
-                "substrate": "sim",
-                "tables": [
-                    tbl("fences_per_commit", fpc_rh1, fpc_tl2),
-                    tbl("total_ops", ops_rh1, ops_tl2),
-                ],
-            }
-
-        dur_old = os.path.join(tmp, "dur_old")
-        dur_ok = os.path.join(tmp, "dur_ok")
-        dur_bad = os.path.join(tmp, "dur_bad")
-        for d in (dur_old, dur_ok, dur_bad):
-            os.mkdir(d)
-
-        def write_dur(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_durable.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline fence ratio 1.0 (the path-independent fence arithmetic);
-        # "ok" halves RH1's fence bill, "bad" doubles it relative to TL2.
-        write_dur(dur_old, durable_report(fpc_rh1=9, fpc_tl2=9))
-        write_dur(dur_ok, durable_report(fpc_rh1=4.5, fpc_tl2=9))
-        write_dur(dur_bad, durable_report(fpc_rh1=18, fpc_tl2=9))
-
-        compared, regressions = compare(dur_old, dur_ok, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(dur_old, dur_bad, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(r[1] == "durable fences_per_commit table" for r in regressions), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
-        # wasted_speculation_pct gating: the contention scenario's
-        # wasted-work view tables are lower-is-better. The adaptive policy
-        # burning MORE speculation relative to the fixed baseline must FAIL;
-        # burning less must PASS. Gated with the contention scenario's own
-        # series pair (adaptive vs fixed), not RH1-Fast/TL2.
-        def contention_report(w_adaptive, w_fixed, ops_adaptive=300, ops_fixed=100):
-            def tbl(metric, adaptive, fixed):
-                return {
-                    "title": f"contention {metric} table",
-                    "style": "sweep",
-                    "x": "threads",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": t, "metrics": {metric: v * t}} for t in (1, 2)
-                            ],
-                        }
-                        for name, v in (
-                            ("RH1-Mix100/adaptive", adaptive),
-                            ("RH1-Mix100/fixed", fixed),
-                        )
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "contention",
-                "substrate": "sim",
-                "tables": [
-                    tbl("wasted_speculation_pct", w_adaptive, w_fixed),
-                    tbl("total_ops", ops_adaptive, ops_fixed),
-                ],
-            }
-
-        cm_old = os.path.join(tmp, "cm_old")
-        cm_ok = os.path.join(tmp, "cm_ok")
-        cm_bad = os.path.join(tmp, "cm_bad")
-        for d in (cm_old, cm_ok, cm_bad):
-            os.mkdir(d)
-
-        def write_cm(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_contention.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline: adaptive wastes half of what fixed does (ratio 0.5);
-        # "ok" drops the ratio further, "bad" pushes it past the bound.
-        write_cm(cm_old, contention_report(w_adaptive=10, w_fixed=20))
-        write_cm(cm_ok, contention_report(w_adaptive=5, w_fixed=20))
-        write_cm(cm_bad, contention_report(w_adaptive=20, w_fixed=20))
-
-        compared, regressions = compare(
-            cm_old, cm_ok, "RH1-Mix100/adaptive", "RH1-Mix100/fixed", 0.25, sink
-        )
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(
-            cm_old, cm_bad, "RH1-Mix100/adaptive", "RH1-Mix100/fixed", 0.25, log
-        )
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(
-            r[1] == "contention wasted_speculation_pct table" for r in regressions
-        ), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
-
-        # cross_socket_penalty gating: the numa scenario's compact/scatter
-        # placement-penalty tables are lower-is-better — RH1's cross-socket
-        # penalty growing relative to TL2's must FAIL; shrinking (RH1 got
-        # MORE placement-robust) must PASS, the exact inversion of the
-        # throughput direction.
-        def numa_report(pen_rh1, pen_tl2, ops_rh1=300, ops_tl2=100):
-            def tbl(metric, rh1, tl2):
-                return {
-                    "title": f"numa {metric} table",
-                    "style": "sweep",
-                    "x": "threads",
-                    "primary_metric": metric,
-                    "series": [
-                        {
-                            "name": name,
-                            "points": [
-                                {"x": t, "metrics": {metric: v * t}} for t in (1, 2)
-                            ],
-                        }
-                        for name, v in (("RH1-Fast", rh1), ("TL2", tl2))
-                    ],
-                }
-
-            return {
-                "schema": "rhtm-bench-report/v1",
-                "scenario": "numa",
-                "substrate": "sim",
-                "tables": [
-                    tbl("cross_socket_penalty", pen_rh1, pen_tl2),
-                    tbl("total_ops", ops_rh1, ops_tl2),
-                ],
-            }
-
-        numa_old = os.path.join(tmp, "numa_old")
-        numa_ok = os.path.join(tmp, "numa_ok")
-        numa_bad = os.path.join(tmp, "numa_bad")
-        for d in (numa_old, numa_ok, numa_bad):
-            os.mkdir(d)
-
-        def write_numa(dirname, rep):
-            with open(os.path.join(dirname, "BENCH_numa.json"), "w") as f:
-                json.dump(rep, f)
-
-        # Baseline: RH1 and TL2 pay the same placement penalty (ratio 1.0);
-        # "ok" halves RH1's penalty, "bad" doubles it relative to TL2.
-        write_numa(numa_old, numa_report(pen_rh1=2, pen_tl2=2))
-        write_numa(numa_ok, numa_report(pen_rh1=1, pen_tl2=2))
-        write_numa(numa_bad, numa_report(pen_rh1=4, pen_tl2=2))
-
-        compared, regressions = compare(numa_old, numa_ok, "RH1-Fast", "TL2", 0.25, sink)
-        assert compared == 4, compared
-        assert not regressions, regressions
-
-        log = io.StringIO()
-        compared, regressions = compare(numa_old, numa_bad, "RH1-Fast", "TL2", 0.25, log)
-        assert compared == 4, compared
-        assert len(regressions) == 2, regressions
-        assert all(
-            r[1] == "numa cross_socket_penalty table" for r in regressions
-        ), regressions
-        assert "[lower-is-better]" in log.getvalue(), log.getvalue()
+        for scenario, num, den, metric, rider, runs in families:
+            for run, values in runs.items():
+                write(f"{scenario}_{run}", scenario, [
+                    sweep(f"{scenario} {m} table", m, {num: a, den: b})
+                    for m, (a, b) in zip((metric, rider), values)
+                ])
+            for run in sorted(runs.keys() - {"old"}):
+                compared, regressions, text = gate(f"{scenario}_old", f"{scenario}_{run}",
+                                                   num, den)
+                assert compared == 4, (scenario, run, compared)
+                if run != "bad":
+                    assert not regressions, (scenario, run, regressions)
+                    continue
+                assert len(regressions) == 2, regressions
+                assert all(r[1] == f"{scenario} {metric} table" for r in regressions), regressions
+                assert "[lower-is-better]" in text, text
 
         # End-summary material: the summary out-param must report the gated
         # point/table counts and pick the single worst-moving point, and the
         # rendered line must carry the PASS/FAIL verdict.
         summary = {}
-        compared, regressions = compare(
-            old_dir, bad_dir, "RH1-Fast", "TL2", 0.25, sink, summary=summary
-        )
+        compared, regressions, _ = gate("old", "bad", summary=summary)
         assert summary["points"] == compared == 3, summary
         assert summary["tables"] == {("BENCH_fig1_rbtree.json", "Figure 1")}, summary
         severity, name, _, _, change = summary["worst"]
@@ -625,9 +371,7 @@ def self_test():
         assert "3 points across 1 tables gated" in line, line
         assert "worst 0.50x" in line and "FAIL (3 regression(s))" in line, line
         summary = {}
-        compared, regressions = compare(
-            old_dir, ok_dir, "RH1-Fast", "TL2", 0.25, sink, summary=summary
-        )
+        compared, regressions, _ = gate("old", "ok", summary=summary)
         line = summary_line(compared, summary, regressions)
         assert line.endswith("PASS"), line
         # The "ok" run preserves the throughput ratio (up to integer

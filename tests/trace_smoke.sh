@@ -3,7 +3,8 @@
 # metrics sampler on, then have scripts/trace_summary.py --check validate the
 # binary trace (structure + >=95% of in-transaction time attributed to named
 # tiers), render it as Chrome JSON that must load, and assert the timeline
-# landed in the BENCH json.
+# landed in the BENCH json. Then trace the durable scenario the same way and
+# require its Chrome JSON to carry the log, mark and apply phase slices.
 #
 # Usage: trace_smoke.sh <run_all> <trace_summary.py> <workdir>
 set -e
@@ -13,7 +14,9 @@ work="$3"
 mkdir -p "$work"
 trace="$work/trace_contention.rhtrace"
 chrome="$work/trace_contention.json"
-rm -f "$trace" "$chrome" "$work/BENCH_contention.json"
+dtrace="$work/trace_durable.rhtrace"
+dchrome="$work/trace_durable.json"
+rm -f "$trace" "$chrome" "$work/BENCH_contention.json" "$dtrace" "$dchrome"
 
 "$bin" --scenario=contention --substrate=sim --cm=adaptive \
        --seconds=0.02 --threads=2 \
@@ -34,4 +37,14 @@ grep -q '"git_sha"' "$work/BENCH_contention.json" || {
   echo "BENCH_contention.json has no git_sha provenance"
   exit 1
 }
+
+"$bin" --scenario=durable --substrate=sim --seconds=0.01 --threads=2 \
+       --trace="$dtrace" --no-json
+python3 "$summary" "$dtrace" --check --chrome "$dchrome"
+for phase in log mark apply; do
+  grep -q "\"dur:$phase\"" "$dchrome" || {
+    echo "durable trace has no dur:$phase slice"
+    exit 1
+  }
+done
 echo "trace smoke passed"
