@@ -83,9 +83,9 @@ class TxnQueue {
   // Each cursor on its own cache line: enqueuers and dequeuers of a
   // non-empty, non-full queue must not false-share (or false-conflict on
   // the rtm substrate) through adjacent words.
-  alignas(64) TVar<TmWord> head_{0};
-  alignas(64) TVar<TmWord> tail_{0};
-  alignas(64) std::vector<TVar<TmWord>> slots_;
+  alignas(kCacheLineBytes) TVar<TmWord> head_{0};
+  alignas(kCacheLineBytes) TVar<TmWord> tail_{0};
+  alignas(kCacheLineBytes) std::vector<TVar<TmWord>> slots_;
 };
 
 }  // namespace rhtm
