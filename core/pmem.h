@@ -200,8 +200,9 @@ class PersistentDomain {
   static constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kTagShift) - 1;
 
   struct Header {
-    // Append state, on a cache line of its own.
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> log_head{0};  ///< published words; scan stops here
+    // Append state, on a cache line of its own. log_head: published
+    // words; the recovery scan stops there.
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> log_head{0};
     std::atomic<std::uint64_t> next_txid{1};  ///< written only under log_lock
     std::atomic<std::uint32_t> log_lock{0};  ///< append spinlock (never taken by recovery)
     std::atomic<std::uint32_t> log_overflow{0};
@@ -285,11 +286,11 @@ class PersistentDomain {
   }
 
   // -------------------------------------------- the durable commit phases --
-  /// Phase 1: append the data record (one pwb per element, counted when
-  /// the record is appended). `entries`
-  /// elements expose `.cell` and `.value`. Returns the transaction id the
-  /// marker and the recovery records carry — 0, which no record carries,
-  /// when the log is full (a full log consumes no txid).
+  /// Phase 1: append the data record (one pwb per element, counted once
+  /// the record is appended). `entries` elements expose `.cell` and
+  /// `.value`. Returns the transaction id the marker and the recovery
+  /// records carry — 0, which no record carries, when the log is full (a
+  /// full log consumes no txid).
   template <class Entries>
   std::uint64_t durable_log(const Entries& entries, const char* path) {
     pmem::kill_point(path, "before_log");
