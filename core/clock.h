@@ -6,21 +6,22 @@
 // measurable: a policy that writes the clock makes every overlapping pair of
 // hardware transactions conflict on the clock line.
 //
-// NUMA cached mode (UniverseConfig::numa = shard+clock): GV6-style lazy
-// propagation across sockets. Each socket owns a padded cache cell that is a
-// LAGGING REPLICA of the global cell — the invariant `cache <= global` is
-// what keeps the scheme sound: a reader's rv comes from its home cache, so
-// rv can only be stale-LOW, which manufactures extra validation aborts but
-// never admits a concurrent committer's stamps into a snapshot. Writers
-// never advance the global clock at commit (next() = global + 1 with no
-// store, exactly GV6); they refresh their HOME cache from the global after
-// committing (publish_home). The global advances only on a reader's
-// validation failure (on_abort) — i.e. cross-socket clock traffic is paid
-// only when cross-socket data flow actually happened, which is the
-// clock_publishes_per_commit metric the numa scenario reports. The scheme
-// self-regulates like GV6: stamps sit at global+1, so the first same-epoch
-// reader of fresh data aborts once, bumps the global, and every socket's
-// cache catches up through subsequent refreshes.
+// GV6 (the universe default) takes that store out of every commit: stamps
+// sit at clock+1 and nothing advances the clock at commit. Software readers
+// that meet such a stamp lift the clock to it and extend their read version
+// (core/tl2.h, LSA's timestamp extension), so clock writes are paid only
+// when data flows from a writer to a later reader.
+//
+// NUMA cached mode (UniverseConfig::numa = shard+clock) is GV6 plus one
+// padded LAGGING REPLICA of the global cell per socket. The invariant
+// `cache <= global` keeps it sound: a reader's rv comes from its home
+// cache, so rv can only be stale-LOW, which costs extra extensions but never
+// admits a concurrent committer's stamps into a snapshot. Committers refresh
+// their HOME cache from the global after committing (publish_home); the
+// global is written only by GV6's own rules (an aborting reader's bump, an
+// extending reader's lift), so cross-socket clock traffic is paid only when
+// cross-socket data flow actually happened — the clock_publishes_per_commit
+// metric the numa scenario reports.
 
 #include <atomic>
 #include <cstdint>
@@ -49,11 +50,13 @@ enum class GvMode : int {
 
 class GlobalVersionClock {
  public:
-  explicit GlobalVersionClock(GvMode mode = GvMode::kGv1) : mode_(mode) {}
+  explicit GlobalVersionClock(GvMode mode) : mode_(mode) {}
 
-  /// Cached (NUMA shard+clock) construction: one lagging replica cell per
-  /// socket of `topo`. Null topology degrades to the plain clock.
-  GlobalVersionClock(GvMode mode, const Topology* topo) : mode_(mode), topo_(topo) {
+  /// Cached (NUMA shard+clock) construction: GV6 whatever `mode` says, plus
+  /// one lagging replica cell per socket of `topo`. Null topology degrades
+  /// to the plain clock in `mode`.
+  GlobalVersionClock(GvMode mode, const Topology* topo)
+      : mode_(topo != nullptr ? GvMode::kGv6 : mode), topo_(topo) {
     if (topo_ != nullptr) {
       caches_ = std::vector<SocketCache>(topo_->socket_count());
     }
@@ -62,19 +65,16 @@ class GlobalVersionClock {
   [[nodiscard]] GvMode mode() const { return mode_; }
   [[nodiscard]] bool cached() const { return !caches_.empty(); }
 
-  /// Whether hardware commits should store the clock cell inside their
-  /// speculation window. In cached mode they must not — the in-txn store is
-  /// exactly the cross-socket clock-line conflict the mode removes; stamps
-  /// at global+1 are admitted via the on_abort progress rule instead.
-  [[nodiscard]] bool hw_writes_clock() const {
-    return !cached() && mode_ != GvMode::kGv6;
-  }
+  /// Whether hardware commits store the clock cell inside their
+  /// speculation window. GV6 never does: its stamps at clock+1 are admitted
+  /// by the readers' lift-and-extend rule instead.
+  [[nodiscard]] bool hw_writes_clock() const { return mode_ != GvMode::kGv6; }
 
   /// The cell backing the counter — hardware paths subscribe through this.
   [[nodiscard]] TmCell& cell() { return cell_; }
 
   /// Read-version sample. Cached mode reads the caller's socket cache:
-  /// stale-low is safe (extra aborts at worst), and the load stays on a
+  /// stale-low is safe (extra extensions at worst), and the load stays on a
   /// socket-local line.
   [[nodiscard]] TmWord read() const {
     if (cached()) {
@@ -85,13 +85,9 @@ class GlobalVersionClock {
 
   /// Next write-version for a software commit. Under GV6 the clock itself is
   /// not advanced; the returned stamp is still strictly greater than any
-  /// read-version sampled before the commit, which is all validation needs.
-  /// Cached mode is GV6 over the GLOBAL cell: no write, and since every
-  /// socket cache lags the global, the stamp also exceeds every cached rv.
+  /// read-version sampled before the commit (every socket cache lags the
+  /// global cell), which is all validation needs.
   TmWord next() {
-    if (cached()) {
-      return cell_.word.load(std::memory_order_acquire) + 1;
-    }
     switch (mode_) {
       case GvMode::kGv1:
         count_global_publish();
@@ -114,22 +110,25 @@ class GlobalVersionClock {
     return 0;
   }
 
-  /// GV6 progress rule: a reader that aborts on a too-new stripe version
-  /// advances the clock so its next read-version admits the new data. In
-  /// cached mode this is the ONLY write to the global cell — the one
-  /// cross-socket publish — and the aborting reader's home cache is lifted
-  /// to the new value so its retry sees it immediately.
+  /// GV6 progress rule: a reader that aborts on validation advances the
+  /// clock, and in cached mode lifts its home cache to the new value so its
+  /// retry sees it immediately. GV1/GV4 keep no abort rule.
   void on_abort() {
-    if (cached()) {
-      const TmWord g = cell_.word.fetch_add(1, std::memory_order_acq_rel) + 1;
-      lift_cache(home_socket(), g);
-      count_global_publish();
-      return;
-    }
-    if (mode_ == GvMode::kGv6) {
-      cell_.word.fetch_add(1, std::memory_order_acq_rel);
-      count_global_publish();
-    }
+    if (mode_ != GvMode::kGv6) return;
+    const TmWord g = cell_.word.fetch_add(1, std::memory_order_acq_rel) + 1;
+    count_global_publish();
+    if (cached()) raise(home_cache(), g);
+  }
+
+  /// The read-version extension's catch-up step: raises the global cell to
+  /// at least `stamp` — a CAS-max, so it never lowers the clock, writes
+  /// nothing (and counts no publish) when the clock already covers the
+  /// stamp, and counts exactly one global publish when it writes — then,
+  /// in cached mode, raises the caller's home cache to the stamp as well.
+  /// Afterwards read() >= stamp.
+  void lift(TmWord stamp) {
+    if (raise(cell_.word, stamp)) count_global_publish();
+    if (cached()) raise(home_cache(), stamp);
   }
 
   /// Post-commit lazy propagation (cached mode): refresh the committer's
@@ -137,20 +136,19 @@ class GlobalVersionClock {
   /// global, preserving the lagging-replica invariant. No-op otherwise.
   void publish_home() {
     if (!cached()) return;
-    lift_cache(home_socket(), cell_.word.load(std::memory_order_acquire));
+    raise(home_cache(), cell_.word.load(std::memory_order_acquire));
     local_publishes_.fetch_add(1);
   }
 
-  /// Bookkeeping hook for a hardware commit that stamped stripes: in modes
-  /// where the commit stored the clock cell in-txn that store IS a global
-  /// publish; in cached mode the store was skipped, so propagate the home
-  /// cache instead.
+  /// Bookkeeping hook for a hardware commit that stamped stripes: under
+  /// GV1/GV4 the commit's in-transaction clock store IS a global publish;
+  /// GV6 skipped the store, so only the home cache (if any) is refreshed.
   void note_hw_commit() {
-    if (cached()) {
+    if (mode_ == GvMode::kGv6) {
       publish_home();
-      return;
+    } else {
+      count_global_publish();
     }
-    if (mode_ != GvMode::kGv6) count_global_publish();
   }
 
   /// Writes that hit the shared global cell (every socket pays coherence).
@@ -168,15 +166,17 @@ class GlobalVersionClock {
     return current_socket_of_thread(*topo_) %
            static_cast<unsigned>(caches_.size());
   }
+  [[nodiscard]] std::atomic<TmWord>& home_cache() { return caches_[home_socket()].cell.word; }
 
-  /// Monotonic CAS-max: never moves a cache backwards (concurrent lifts
-  /// race benignly) and never above the value read from the global.
-  void lift_cache(unsigned s, TmWord v) {
-    auto& c = caches_[s].cell.word;
-    TmWord cur = c.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !c.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
+  /// Monotonic CAS-max: never moves `w` backwards (concurrent raises race
+  /// benignly). Callers never raise a cache above a value the global cell
+  /// has held. Returns whether it wrote.
+  static bool raise(std::atomic<TmWord>& w, TmWord v) {
+    TmWord cur = w.load(std::memory_order_relaxed);
+    while (cur < v) {
+      if (w.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) return true;
     }
+    return false;
   }
 
   void count_global_publish() { global_publishes_.fetch_add(1); }

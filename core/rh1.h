@@ -8,7 +8,10 @@
 // word and record the stripe; at the commit point the transaction re-reads
 // the clock and publishes every written stripe at clock+1, so software
 // readers serialize against fast commits through the ordinary TL2
-// validation rules. No read-set, no write buffering, no logging.
+// validation rules. Under the default GV6 clock the commit reads the clock
+// but never writes it; a software reader that meets the stamp extends its
+// read version past it (core/tl2.h). No read-set, no write buffering, no
+// logging.
 //
 // Slow path (kRh1Slow): a TL2-style software body (instrumented reads into
 // a ReadSet, writes buffered in a WriteSet) committed by a *reduced
@@ -177,7 +180,7 @@ class HybridTm {
   struct Rh2Handle {
     HybridTm& tm;
     ThreadCtx& ctx;
-    TmWord rv;
+    TmWord rv;  ///< moved forward by extensions, like Tl2Handle's
 
     TmWord load(const TmCell& c) {
       if (const WriteEntry* e = ctx.ws_.find(c)) return e->value;
@@ -202,7 +205,7 @@ class HybridTm {
       if (path == ExecPath::kRh1Slow) {
         detail::Tl2Handle<H> h{u_, ctx.rs_, ctx.ws_, rv};
         body(h);
-        if (rh1_reduced_commit(ctx, rv)) return ExecPath::kRh1Slow;
+        if (rh1_reduced_commit(ctx, h.rv)) return ExecPath::kRh1Slow;
         path = ExecPath::kRh2Slow;  // commit exceeds the hardware budget: go visible
         trace::escalate(ctx.ring, ExecPath::kRh2Slow);
         return detail::kRetryOnNewPath;
@@ -214,7 +217,7 @@ class HybridTm {
       try {
         Rh2Handle h{*this, ctx, rv};
         body(h);
-        commit_path = rh2_commit(ctx, rv);
+        commit_path = rh2_commit(ctx, h.rv);
       } catch (...) {
         leave_rh2(ctx);
         throw;
@@ -273,9 +276,17 @@ class HybridTm {
   /// the published masks, so the transaction never touches read metadata —
   /// it only refuses to overwrite stripes carrying *foreign* readers.
   /// Escalates to the all-software slow-slow commit when hardware fails.
+  /// A write stripe stamped past `rv` is first admitted by extending `rv`,
+  /// as a read of it would be (GV6 stamps the previous commit at clock+1).
   ExecPath rh2_commit(ThreadCtx& ctx, TmWord rv) {
     if (ctx.ws_.empty()) return ExecPath::kRh2Slow;  // visible reads validated at access
     StripeTable& st = u_.stripes();
+    if (!u_.clock().hw_writes_clock()) {
+      for (const std::uint32_t s : ctx.ws_.write_stripes()) {
+        const TmWord v = StripeTable::version_of(st.word(s).word.load(std::memory_order_acquire));
+        if (v > rv) detail::extend_read_version(u_, v, rv, ctx.rs_);
+      }
+    }
     const HtmStatus status = write_set_commit(
         ctx, pmem::kPathRh2, [](typename H::Tx&) {},
         [&](typename H::Tx& t, std::uint32_t s) {

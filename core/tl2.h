@@ -22,14 +22,31 @@ namespace rhtm {
 
 namespace detail {
 
+/// LSA's read-version extension (Riegel, Felber & Fetzer, DISC 2006), for
+/// a clock that hardware commits do not write (GV6): admits a stripe
+/// stamped at `stamp` > `rv` by moving `rv` forward instead of aborting.
+/// The clock is lifted to cover the stamp (a hardware commit stamps at
+/// clock+1 without storing it), the new read version sampled, and the read
+/// set revalidated against the OLD `rv` — any commit that overwrote one of
+/// those reads stamped above it. Throws kStmValidation when a read is stale.
+template <class H>
+inline void extend_read_version(TmUniverse<H>& u, TmWord stamp, TmWord& rv, const ReadSet& rs) {
+  GlobalVersionClock& clock = u.clock();
+  if (clock.read() < stamp) u.htm().nontx_atomic([&] { clock.lift(stamp); });
+  const TmWord now = clock.read();
+  if (!rs.validate(u.stripes(), rv)) throw StmAbort{AbortCause::kStmValidation};
+  rv = now;
+}
+
 /// The post-validated software read (the TL2 read barrier's slow half,
 /// shared by the TL2 and RH2 handles): stripe word, data word, stripe word
 /// again — bracketed by the substrate's publication epoch so a hardware
 /// commit's multi-word write-back (which software readers do not otherwise
 /// synchronize with) can never interleave a torn view. Records the read in
-/// `rs` on success; throws StmAbort on a locked or too-new stripe.
+/// `rs` on success; throws StmAbort on a locked or changing stripe, and on
+/// a too-new one unless `rv` can be extended past it.
 template <class H>
-inline TmWord stripe_validated_read(TmUniverse<H>& u, const TmCell& c, std::size_t s, TmWord rv,
+inline TmWord stripe_validated_read(TmUniverse<H>& u, const TmCell& c, std::size_t s, TmWord& rv,
                                     ReadSet& rs) {
   StripeTable& st = u.stripes();
   for (;;) {
@@ -43,8 +60,11 @@ inline TmWord stripe_validated_read(TmUniverse<H>& u, const TmCell& c, std::size
       continue;
     }
     if (StripeTable::is_locked(w1)) throw StmAbort{AbortCause::kStmLocked};
-    if (w1 != w2 || StripeTable::version_of(w1) > rv) {
-      throw StmAbort{AbortCause::kStmValidation};
+    if (w1 != w2) throw StmAbort{AbortCause::kStmValidation};
+    if (StripeTable::version_of(w1) > rv) {
+      if (u.clock().hw_writes_clock()) throw StmAbort{AbortCause::kStmValidation};
+      extend_read_version(u, StripeTable::version_of(w1), rv, rs);
+      continue;
     }
     rs.add(static_cast<std::uint32_t>(s));
     return val;
@@ -52,7 +72,9 @@ inline TmWord stripe_validated_read(TmUniverse<H>& u, const TmCell& c, std::size
 }
 
 /// TL2 access barriers over a universe. Read: bloom-checked write-set
-/// lookup, then stripe-validated post-read. Write: write-set insert.
+/// lookup, then stripe-validated post-read. Write: write-set insert. `rv`
+/// is the read version, moved forward by extensions; the commit validates
+/// against its final value.
 template <class H>
 struct Tl2Handle {
   TmUniverse<H>& u;
@@ -147,10 +169,9 @@ inline void tl2_run(TmUniverse<H>& u, TxContext& ctx, ReadSet& rs, WriteSet& ws,
   software_attempts(ctx, ExecPath::kStm, aborted, [&](ExecPath&) {
     rs.clear();
     ws.clear();
-    const TmWord rv = u.clock().read();
-    Tl2Handle<H> h{u, rs, ws, rv};
+    Tl2Handle<H> h{u, rs, ws, u.clock().read()};
     body(h);
-    tl2_software_commit(u, rs, ws, rv, lock_scratch, nullptr, ctx.ring);
+    tl2_software_commit(u, rs, ws, h.rv, lock_scratch, nullptr, ctx.ring);
     return ExecPath::kStm;
   });
 }

@@ -20,7 +20,11 @@ namespace rhtm {
 struct UniverseConfig {
   HtmConfig htm;
   StripeConfig stripe;
-  GvMode gv_mode = GvMode::kGv1;
+  /// Clock rule (core/clock.h). GV6 keeps the clock store out of every
+  /// hardware commit; software readers extend their read version past its
+  /// clock+1 stamps (core/tl2.h). kGv1 is the fetch-add clock that every
+  /// hardware commit stores.
+  GvMode gv_mode = GvMode::kGv6;
   /// Contention management: retry/backoff/escalation policy applied by every
   /// protocol ThreadCtx constructed over this universe (see core/contention.h;
   /// --cm= bench flag). kFixed is bit-compatible with the historical coins
@@ -44,8 +48,8 @@ struct UniverseConfig {
   /// NUMA geometry axis (core/topology.h; --numa bench flag). kOff keeps
   /// the flat stripe table and plain clock bit-identical to the pre-NUMA
   /// universe; kShard sockets-shards the stripe table (first-touch
-  /// allocated); kShardClock additionally enables the per-socket cached
-  /// version clock.
+  /// allocated); kShardClock additionally runs the GV6 clock (whatever
+  /// gv_mode says) with per-socket cached replicas.
   NumaMode numa = NumaMode::kOff;
   /// Topology override for tests/benches; null resolves to
   /// Topology::system(). Non-owning — must outlive the universe.
@@ -102,9 +106,9 @@ class TmUniverse {
 
   /// The commit point of a hardware transaction that stamps stripes: a
   /// fresh version read from the clock inside the transaction (so it is
-  /// newer than any concurrent software reader's read-version; stored
-  /// unless the clock forbids in-transaction writes), then one stamp per
-  /// distinct written stripe. Returns the version.
+  /// newer than any concurrent software reader's read-version; stored only
+  /// under GV1/GV4 — GV6 reads the clock but never writes it), then one
+  /// stamp per distinct written stripe. Returns the version.
   template <class Tx, class Stripes>
   TmWord hw_commit_stamp(Tx& t, const Stripes& stripes) {
     const TmWord wv = t.load(clock_.cell()) + 1;
@@ -127,9 +131,8 @@ class TmUniverse {
     }
   }
 
-  /// A software abort's clock rule (GV6 and the cached clock advance the
-  /// global cell, which hardware transactions read), atomic with respect
-  /// to hardware commits.
+  /// A software abort's clock rule (GV6 advances the global cell, which
+  /// hardware transactions read), atomic with respect to hardware commits.
   void clock_on_abort(trace::TraceRing* ring) {
     if (clock_.hw_writes_clock()) {
       // GV1/GV4 keep no abort rule, except on a substrate whose hardware

@@ -1,5 +1,6 @@
 // Global version clock: per-mode semantics, monotonicity, concurrent
-// uniqueness under GV1, and exact publish tallies across threads.
+// uniqueness under GV1, exact publish tallies across threads, and the
+// catch-up lift the read-version extension uses.
 
 #include <algorithm>
 #include <atomic>
@@ -105,6 +106,82 @@ void gv1_gv4_on_abort_noop() {
   CHECK_EQ(g4.read(), 0u);
 }
 
+// lift() is the read-version extension's catch-up step (core/tl2.h): a
+// reader that meets a GV6 stamp at clock+1 raises the clock to cover it.
+
+void lift_never_lowers_the_clock() {
+  GlobalVersionClock clock(GvMode::kGv6);
+  clock.lift(9);
+  CHECK_EQ(clock.read(), 9u);
+  clock.lift(4);
+  CHECK_EQ(clock.read(), 9u);
+  // Racing lifts to interleaved stamps: every thread sees the clock cover
+  // its own stamp and never move backwards; the clock ends at the maximum.
+  constexpr unsigned kThreads = 4;
+  constexpr TmWord kPerThread = 5000;
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      TmWord last = 0;
+      for (TmWord i = 1; i <= kPerThread; ++i) {
+        const TmWord stamp = i * kThreads + t;
+        clock.lift(stamp);
+        const TmWord now = clock.read();
+        if (now < stamp || now < last) ok = false;
+        last = now;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  CHECK(ok.load());
+  CHECK_EQ(clock.read(), kPerThread * kThreads + kThreads - 1);
+  CHECK(clock.global_publishes() <= std::uint64_t{kThreads} * kPerThread + 1);
+}
+
+void lift_covered_is_a_noop() {
+  GlobalVersionClock clock(GvMode::kGv6);
+  clock.on_abort();
+  clock.on_abort();
+  CHECK_EQ(clock.global_publishes(), 2u);
+  for (const TmWord stamp : {0u, 1u, 2u}) {
+    clock.lift(stamp);
+    CHECK_EQ(clock.read(), 2u);
+    CHECK_EQ(clock.global_publishes(), 2u);  // no write, no publish
+  }
+}
+
+void lift_that_writes_is_one_publish() {
+  GlobalVersionClock clock(GvMode::kGv6);
+  clock.lift(1);
+  CHECK_EQ(clock.global_publishes(), 1u);
+  clock.lift(100);  // a jump of 99 is still one write
+  CHECK_EQ(clock.read(), 100u);
+  CHECK_EQ(clock.global_publishes(), 2u);
+  CHECK_EQ(clock.next(), 101u);  // next() still never writes
+  CHECK_EQ(clock.global_publishes(), 2u);
+}
+
+/// Cached clock: the lift also raises the caller's home replica (read()
+/// comes from it), never another socket's, and a replica that lags a
+/// global already covering the stamp costs no global publish.
+void lift_raises_the_home_replica() {
+  const Topology topo = Topology::fake({{0}, {1}});
+  GlobalVersionClock clock(GvMode::kGv6, &topo);
+  set_thread_socket_override(0);
+  clock.lift(5);
+  CHECK_EQ(clock.read(), 5u);
+  CHECK_EQ(clock.cell().word.load(), 5u);
+  CHECK_EQ(clock.global_publishes(), 1u);
+  set_thread_socket_override(1);
+  CHECK_EQ(clock.read(), 0u);
+  clock.lift(3);
+  CHECK_EQ(clock.read(), 3u);
+  CHECK_EQ(clock.cell().word.load(), 5u);
+  CHECK_EQ(clock.global_publishes(), 1u);
+  set_thread_socket_override(-1);
+}
+
 }  // namespace
 }  // namespace rhtm
 
@@ -117,5 +194,9 @@ int main() {
       TestCase{"gv4_batches", rhtm::gv4_batches},
       TestCase{"gv6_quiet", rhtm::gv6_quiet},
       TestCase{"gv1_gv4_on_abort_noop", rhtm::gv1_gv4_on_abort_noop},
+      TestCase{"lift_never_lowers_the_clock", rhtm::lift_never_lowers_the_clock},
+      TestCase{"lift_covered_is_a_noop", rhtm::lift_covered_is_a_noop},
+      TestCase{"lift_that_writes_is_one_publish", rhtm::lift_that_writes_is_one_publish},
+      TestCase{"lift_raises_the_home_replica", rhtm::lift_raises_the_home_replica},
   });
 }

@@ -218,10 +218,13 @@ void numa_shard_clock_mixed_bank() {
   bank_test(tm, 4);
 }
 
-template <class H>
-void gv6_mixed_bank() {
+/// Every other case runs the default clock (GV6 with read-version
+/// extension); these pin each clock rule explicitly, GV1 included — the
+/// former default, where every hardware commit stores the clock.
+template <class H, GvMode kClock>
+void clock_mixed_bank() {
   UniverseConfig ucfg;
-  ucfg.gv_mode = GvMode::kGv6;
+  ucfg.gv_mode = kClock;
   TmUniverse<H> u(ucfg);
   typename HybridTm<H>::Config cfg;
   cfg.slow_retry_percent = 100;
@@ -257,7 +260,8 @@ int main() {
       TestCase{"rh1_adaptive_bank", rhtm::rh1_adaptive_bank<HtmSim>},
       TestCase{"hybrid_norec_bank", rhtm::hybrid_norec_bank<HtmSim>},
       TestCase{"phased_bank", rhtm::phased_bank<HtmSim>},
-      TestCase{"gv6_mixed_bank", rhtm::gv6_mixed_bank<HtmSim>},
+      TestCase{"gv6_mixed_bank", rhtm::clock_mixed_bank<HtmSim, rhtm::GvMode::kGv6>},
+      TestCase{"gv1_mixed_bank", rhtm::clock_mixed_bank<HtmSim, rhtm::GvMode::kGv1>},
       TestCase{"numa_shard_tl2_bank", rhtm::numa_shard_tl2_bank<HtmSim>},
       TestCase{"numa_shard_rh1_mixed_bank", rhtm::numa_shard_rh1_mixed_bank<HtmSim>},
       TestCase{"numa_shard_rh2_forced_bank", rhtm::numa_shard_rh2_forced_bank<HtmSim>},
@@ -271,6 +275,7 @@ int main() {
       TestCase{"rtm_rh2_forced_bank", rhtm::rh2_forced_bank<HtmRtm>},
       TestCase{"rtm_hybrid_norec_bank", rhtm::hybrid_norec_bank<HtmRtm>},
       TestCase{"rtm_phased_bank", rhtm::phased_bank<HtmRtm>},
+      TestCase{"rtm_gv1_mixed_bank", rhtm::clock_mixed_bank<HtmRtm, rhtm::GvMode::kGv1>},
       TestCase{"rtm_numa_shard_rh1_mixed_bank", rhtm::numa_shard_rh1_mixed_bank<HtmRtm>},
       TestCase{"rtm_numa_shard_clock_mixed_bank",
                rhtm::numa_shard_clock_mixed_bank<HtmRtm>},

@@ -1,10 +1,13 @@
-// Read-set validation: direct unit checks against a stripe table, plus the
-// TL2 invariant under a live concurrent writer — a reader transaction must
-// never observe a torn x+y snapshot.
+// Read-set validation: direct unit checks against a stripe table, the TL2
+// invariant under live concurrent writers — a reader transaction must never
+// observe a torn x+y snapshot — and the default clock's read-version
+// extension.
 
 #include <atomic>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/rhtm.h"
 #include "stm/read_set.h"
@@ -75,44 +78,69 @@ void zipfian_rereads_exact_dedup() {
   CHECK_EQ(rs.stripes()[0], 5u);
 }
 
-/// TL2 over the simulated substrate: a writer keeps moving value between two
-/// cells keeping x + y == 100; readers must always see the invariant.
+/// A TL2 transfer writer and an RH1 writer on sim (hardware fast-path
+/// commits, which stamp at clock+1 without storing the clock) keep moving
+/// value between two cells keeping x + y == 100. Readers on the default
+/// clock extend their read version past those stamps instead of aborting,
+/// and must always see the invariant.
 void snapshot_invariant_under_concurrent_writer() {
   TmUniverse<HtmSim> u;
+  CHECK(!u.clock().hw_writes_clock());
   Tl2<HtmSim> tm(u);
+  HybridTm<HtmSim> rh1(u);
   TVar<TmWord> x(70);
   TVar<TmWord> y(30);
 
   std::atomic<bool> stop{false};
   std::atomic<bool> torn{false};
+  std::atomic<std::uint64_t> rh1_txs{0};
+  std::atomic<std::uint64_t> fast_commits{0};
+  const auto transfer = [&](auto& tx, TmWord delta) {
+    const TmWord xv = x.read(tx);
+    const TmWord yv = y.read(tx);
+    if (xv >= delta) {
+      x.write(tx, xv - delta);
+      y.write(tx, yv + delta);
+    } else {  // x is nearly drained, so y > 90 > delta: move value back
+      x.write(tx, xv + delta);
+      y.write(tx, yv - delta);
+    }
+  };
 
-  std::thread writer([&] {
+  std::thread tl2_writer([&] {
     Tl2<HtmSim>::ThreadCtx ctx(tm);
     Xoshiro256 rng(42);
     while (!stop.load(std::memory_order_acquire)) {
       const TmWord delta = rng.below(10);
-      tm.atomically(ctx, [&](auto& tx) {
-        const TmWord xv = x.read(tx);
-        const TmWord yv = y.read(tx);
-        if (xv >= delta) {
-          x.write(tx, xv - delta);
-          y.write(tx, yv + delta);
-        }
-      });
+      tm.atomically(ctx, [&](auto& tx) { transfer(tx, delta); });
     }
+  });
+  std::thread rh1_writer([&] {
+    HybridTm<HtmSim>::ThreadCtx ctx(rh1);
+    Xoshiro256 rng(43);
+    while (!stop.load(std::memory_order_acquire)) {
+      const TmWord delta = rng.below(10);
+      rh1.atomically(ctx, [&](auto& tx) { transfer(tx, delta); });
+      rh1_txs.fetch_add(1, std::memory_order_relaxed);
+    }
+    fast_commits = ctx.stats.commits_by_path[static_cast<std::size_t>(ExecPath::kRh1Fast)];
   });
 
   {
     Tl2<HtmSim>::ThreadCtx ctx(tm);
-    for (int i = 0; i < 20000; ++i) {
+    // Read until the RH1 writer has been running for a while too: a
+    // thread can start late on a loaded host.
+    for (int i = 0; i < 20000 || rh1_txs.load(std::memory_order_relaxed) < 500; ++i) {
       TmWord sum = 0;
       tm.atomically(ctx, [&](auto& tx) { sum = x.read(tx) + y.read(tx); });
       if (sum != 100) torn.store(true);
     }
   }
   stop.store(true, std::memory_order_release);
-  writer.join();
+  tl2_writer.join();
+  rh1_writer.join();
   CHECK(!torn.load());
+  CHECK(fast_commits.load() > 0);
   CHECK_EQ(x.unsafe_read() + y.unsafe_read(), 100u);
 }
 
@@ -122,7 +150,9 @@ void snapshot_invariant_under_concurrent_writer() {
 /// past that stamp: each validation abort advances the clock by one.
 /// Without that rule this transaction retried forever.
 void emul_software_retry_catches_the_clock_up() {
-  TmUniverse<HtmEmul> u;
+  UniverseConfig ucfg;
+  ucfg.gv_mode = GvMode::kGv1;
+  TmUniverse<HtmEmul> u(ucfg);
   TVar<TmWord> cell(7);
   u.stripes().unlock_to(u.stripes().index_of(&cell.cell()), u.clock().read() + 3);
   HybridTm<HtmEmul>::Config cfg;
@@ -133,6 +163,114 @@ void emul_software_retry_catches_the_clock_up() {
   CHECK_EQ(cell.unsafe_read(), 8u);
   CHECK_EQ(ctx.stats.commits, 1u);
   CHECK_EQ(ctx.stats.aborts_by_cause[static_cast<std::size_t>(AbortCause::kStmValidation)], 3u);
+}
+
+/// The same stranded stamp on the default clock: the read lifts the clock
+/// to the stamp and extends its read version, so the transaction commits
+/// at its first attempt.
+void emul_default_clock_read_extends_past_the_stamp() {
+  TmUniverse<HtmEmul> u;
+  TVar<TmWord> cell(7);
+  u.stripes().unlock_to(u.stripes().index_of(&cell.cell()), u.clock().read() + 3);
+  HybridTm<HtmEmul>::Config cfg;
+  cfg.force_slow_path = true;
+  HybridTm<HtmEmul> tm(u, cfg);
+  HybridTm<HtmEmul>::ThreadCtx ctx(tm);
+  tm.atomically(ctx, [&](auto& tx) { cell.write(tx, cell.read(tx) + 1); });
+  CHECK_EQ(cell.unsafe_read(), 8u);
+  CHECK_EQ(ctx.stats.commits, 1u);
+  CHECK_EQ(ctx.stats.aborts, 0u);
+  CHECK_EQ(u.clock().read(), 3u);
+  CHECK_EQ(u.clock().global_publishes(), 1u);  // the one lift
+}
+
+/// One thread, default clock: each commit stamps at clock+1 without
+/// storing the clock, so every following transaction meets a stamp newer
+/// than its read version — on a read, and on the blind write to `last`
+/// (the RH2 commit checks write stripes too). Extension admits them all:
+/// 100 write commits, no aborts. The bare GV6 rule, which aborts on such a
+/// stamp, took 62 aborts in 100.
+template <class Tm>
+void hundred_write_commits_without_aborts(TmUniverse<HtmSim>& u, Tm& tm) {
+  struct alignas(64) Padded {
+    TmCell c;
+  };
+  std::vector<Padded> cells(8);
+  Padded last;
+  typename Tm::ThreadCtx ctx(tm);
+  for (int i = 0; i < 100; ++i) {
+    tm.atomically(ctx, [&](auto& tx) {
+      TmCell& c = cells[static_cast<std::size_t>(i) % cells.size()].c;
+      tx.store(c, tx.load(c) + 1);
+      tx.store(last.c, static_cast<TmWord>(i));
+    });
+  }
+  CHECK_EQ(ctx.stats.commits, 100u);
+  CHECK_EQ(ctx.stats.aborts, 0u);
+  TmWord sum = 0;
+  for (const Padded& p : cells) sum += p.c.unsafe_load();
+  CHECK_EQ(sum, 100u);
+  CHECK_EQ(last.c.unsafe_load(), 99u);
+  CHECK(u.clock().read() <= 100u);
+}
+
+void default_clock_single_thread_no_aborts() {
+  CHECK(UniverseConfig{}.gv_mode == GvMode::kGv6);
+  {
+    TmUniverse<HtmSim> u;
+    Tl2<HtmSim> tm(u);
+    hundred_write_commits_without_aborts(u, tm);
+  }
+  for (const bool rh2 : {false, true}) {
+    TmUniverse<HtmSim> u;
+    HybridTm<HtmSim>::Config cfg;
+    cfg.force_slow_path = !rh2;
+    cfg.force_rh2 = rh2;
+    HybridTm<HtmSim> tm(u, cfg);
+    hundred_write_commits_without_aborts(u, tm);
+  }
+}
+
+/// Extension must not admit a torn snapshot: a reader reads x, a hardware
+/// commit then writes x and y, and the reader finds y newer than its read
+/// version. Revalidating x against the old read version fails, so the
+/// attempt aborts with kStmValidation; the retry sees both new values.
+void extension_rejects_a_commit_between_reads() {
+  TmUniverse<HtmSim> u;
+  alignas(64) TVar<TmWord> x(70);
+  alignas(64) TVar<TmWord> y(30);
+  CHECK(u.stripes().index_of(&x.cell()) != u.stripes().index_of(&y.cell()));
+  Tl2<HtmSim> tl2(u);
+  HybridTm<HtmSim> rh1(u);
+  std::atomic<int> phase{0};  // 1: reader has read x; 2: writer committed
+  std::atomic<std::uint64_t> fast_commits{0};
+  std::thread writer([&] {
+    HybridTm<HtmSim>::ThreadCtx ctx(rh1);
+    while (phase.load(std::memory_order_acquire) != 1) std::this_thread::yield();
+    rh1.atomically(ctx, [&](auto& tx) {
+      x.write(tx, x.read(tx) + 5);
+      y.write(tx, y.read(tx) - 5);
+    });
+    fast_commits = ctx.stats.commits_by_path[static_cast<std::size_t>(ExecPath::kRh1Fast)];
+    phase.store(2, std::memory_order_release);
+  });
+  Tl2<HtmSim>::ThreadCtx ctx(tl2);
+  std::vector<std::pair<TmWord, TmWord>> seen;
+  tl2.atomically(ctx, [&](auto& tx) {
+    const TmWord xv = x.read(tx);
+    if (phase.load(std::memory_order_acquire) == 0) {
+      phase.store(1, std::memory_order_release);
+      while (phase.load(std::memory_order_acquire) != 2) std::this_thread::yield();
+    }
+    seen.emplace_back(xv, y.read(tx));
+  });
+  writer.join();
+  CHECK_EQ(fast_commits.load(), 1u);
+  CHECK_EQ(seen.size(), 1u);  // the first attempt never completed its reads
+  CHECK(seen.back() == std::make_pair(TmWord{75}, TmWord{25}));
+  CHECK_EQ(ctx.stats.commits, 1u);
+  CHECK_EQ(ctx.stats.aborts, 1u);
+  CHECK_EQ(ctx.stats.aborts_by_cause[static_cast<std::size_t>(AbortCause::kStmValidation)], 1u);
 }
 
 }  // namespace
@@ -149,5 +287,11 @@ int main() {
                rhtm::snapshot_invariant_under_concurrent_writer},
       TestCase{"emul_software_retry_catches_the_clock_up",
                rhtm::emul_software_retry_catches_the_clock_up},
+      TestCase{"emul_default_clock_read_extends_past_the_stamp",
+               rhtm::emul_default_clock_read_extends_past_the_stamp},
+      TestCase{"default_clock_single_thread_no_aborts",
+               rhtm::default_clock_single_thread_no_aborts},
+      TestCase{"extension_rejects_a_commit_between_reads",
+               rhtm::extension_rejects_a_commit_between_reads},
   });
 }

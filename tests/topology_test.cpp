@@ -250,13 +250,14 @@ void plain_clock_unchanged_by_counters() {
   CHECK_EQ(g6.read(), 1u);
 }
 
-/// numa=off replay pin: a universe built with the default config makes
-/// exactly the historical clock/lock decisions — GV1 advances once per
-/// software write-commit, and the stripe hash is the unchanged golden-ratio
-/// formula over the unchanged index space.
+/// numa=off replay pin: a universe built with numa off and the GV1 clock
+/// makes exactly the historical clock/lock decisions — GV1 advances once
+/// per software write-commit, and the stripe hash is the unchanged
+/// golden-ratio formula over the unchanged index space.
 void off_mode_bit_identical_decisions() {
   UniverseConfig cfg;
   CHECK(cfg.numa == NumaMode::kOff);
+  cfg.gv_mode = GvMode::kGv1;
   TmUniverse<HtmSim> u(cfg);
   CHECK_EQ(u.stripes().shard_count(), 1u);
   CHECK(!u.clock().cached());
