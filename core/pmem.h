@@ -2,7 +2,7 @@
 
 // Simulated persistent-memory domain for the durable commit variants
 // (Coccimiglio, Brown & Ravi, "Persistent HyTM via Fast Path Fine-Grained
-// Locking" — PAPERS.md). Three pieces, all in ONE region that survives a
+// Locking" — PAPERS.md). Four pieces, all in ONE region that survives a
 // fork(), so the crash-recovery harness can kill a child process mid-commit
 // and validate recovery from the parent:
 //
@@ -21,33 +21,37 @@
 //    64-byte-line dedup.
 //
 //  * redo log — the only crash-atomic structure. Every durable commit
-//    appends one data record (txid + the write-set's absolute addr/value
-//    pairs), persists it, then appends a commit marker. Recovery replays
-//    exactly the marked transactions, in marker order; unmarked records are
-//    discarded. Appends serialize on a spinlock in the header and publish
-//    the new head only after the record is fully written, so a crash at any
-//    kill point leaves a scannable log (a mid-append record is beyond the
-//    published head). Marker append order is consistent with transaction
-//    serialization because every durable protocol path holds its conflict
-//    locks (stripe locks / the NOrec sequence lock) across the marker.
-//    The txid is drawn inside the append critical section, so txids are
-//    dense and rise in log order; recovery resolves each marker to its
-//    record by txid index in one linear scan.
+//    appends one data record (header, its own log position, then the
+//    write-set's absolute addr/value pairs), persists it, then appends a
+//    2-word commit marker (kMarkTag | record position, seq). Recovery
+//    replays exactly the marked records, in seq order; unmarked records
+//    are discarded. Appends go to per-thread lanes: the log is cut into
+//    kPopulateChunkWords chunks, a thread claims its next chunk with one
+//    fetch_add on the chunk cursor (about once per 1,000 commits) and
+//    appends into it with plain stores, each append ending in one release
+//    store of the chunk's header word (span << kSpanShift | words used).
+//    A crash at any kill point therefore leaves every chunk scannable up
+//    to its header's count: a mid-append record lies beyond it. A record
+//    larger than one chunk claims a multi-chunk span, which the header
+//    word records from the claim on. The marker's seq is one global
+//    fetch_add, drawn in durable_mark while every durable protocol path
+//    still holds its conflict locks (stripe locks / the NOrec sequence
+//    lock), so seq order is serialization order; it is the only
+//    shared-line RMW of a commit. A full log is sticky and stops every
+//    lane (the simulation does not checkpoint). A thread's lane is keyed
+//    to the domain it last appended to; a forked child that appends must
+//    not share a lane with a parent that appends afterwards (the crash
+//    harness forks before any append).
 //
-//  * populate-ahead window — a real persistent log is preallocated, so its
+//  * populate on claim — a real persistent log is preallocated, so its
 //    appends never fault; this region is a fresh anonymous mapping whose
-//    pages fault in on first write. A fault taken inside the append lock
-//    would stall every other committer behind it (about one commit in 64
-//    opens a new 4 KiB page), so the tail latency would measure the
-//    simulation rather than the protocol. Before taking the lock,
-//    durable_log() keeps the log populated up to two kPopulateChunkWords
-//    chunks past the head: whoever sees the frontier within one chunk of
-//    the head claims the next chunk with a CAS and faults it in with
-//    madvise(MADV_POPULATE_WRITE), which writes no data and so cannot race
-//    the appenders. Where the advice is missing (non-Linux, kernels before
-//    5.14) the call does nothing and pages fault on first append as before.
-//    MAP_POPULATE is not used: it would fault in the whole log (hundreds of
-//    MiB for a benchmark-sized log) at construction.
+//    pages fault in on first write. A claim faults its whole chunk in with
+//    madvise(MADV_POPULATE_WRITE): the claiming commit pays the faults,
+//    about once per 1,000 commits instead of once per 64, and no other
+//    lane waits for them. Where the advice is missing (non-Linux, kernels
+//    before 5.14) the call does nothing and pages fault on first append.
+//    MAP_POPULATE is not used: it would fault in the whole log (hundreds
+//    of MiB for a benchmark-sized log) at construction.
 //
 //  * durable image — the simulated NVM data space: an open-addressed
 //    cell-address -> value table the apply phase writes back into (one pwb
@@ -57,9 +61,9 @@
 // Commit protocol (log-then-fence-then-apply), one kill point per phase:
 //
 //     kill(path.before_log)
-//     append data record; n+1 pwb (record header + n pairs)
+//     append data record to the lane; n+1 pwb (record header + n pairs)
 //     kill(path.after_log)
-//     pfence; append commit marker, pwb; pfence
+//     pfence; draw seq, append commit marker to the lane, pwb; pfence
 //     kill(path.after_mark)          <- the durability point
 //     ... in-memory publication (protocol-specific) ...
 //     image stores                   <- kill(path.mid_apply) halfway
@@ -87,6 +91,7 @@
 #include <cstring>
 #include <algorithm>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #if defined(_WIN32)
@@ -118,6 +123,10 @@ inline constexpr int kKillExitCode = 42;
 inline ShardedCounter g_total_pwb;
 inline ShardedCounter g_total_pfence;
 inline ShardedCounter g_total_psync;
+
+/// Source of PersistentDomain ids, which key the per-thread log lanes: a
+/// lane left over from a destroyed domain never matches a new one.
+inline std::atomic<std::uint64_t> g_next_domain_id{1};
 
 /// The durable commit paths. Each name prefixes that path's kill points and
 /// tags its log records' provenance in test output. The RH2 slow-slow
@@ -192,42 +201,54 @@ struct FenceCounts {
 };
 
 class PersistentDomain {
-  // Log record words: header = (tag << 56) | entry-count, then txid, then
-  // entry-count * (addr, value) pairs. Marker = header + txid only.
+  // Log record words: header = (tag << 56) | low, where low is a data
+  // record's entry count or a marker's record position. A data record's
+  // second word is its own log position, then entry-count * (addr, value)
+  // pairs. A marker's second word is its seq.
   static constexpr std::uint64_t kDataTag = 0xD1;
   static constexpr std::uint64_t kMarkTag = 0xC2;
   static constexpr std::uint64_t kTagShift = 56;
   static constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kTagShift) - 1;
+  // A chunk's first word: (span << kSpanShift) | words used, header included.
+  static constexpr std::uint64_t kSpanShift = 40;
+  static constexpr std::uint64_t kUsedMask = (std::uint64_t{1} << kSpanShift) - 1;
 
   struct Header {
-    // Append state, on a cache line of its own. log_head: published
-    // words; the recovery scan stops there.
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> log_head{0};
-    std::atomic<std::uint64_t> next_txid{1};  ///< written only under log_lock
-    std::atomic<std::uint32_t> log_lock{0};  ///< append spinlock (never taken by recovery)
+    // The marker seq, drawn once per commit: a line of its own.
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> next_seq{1};
+    // Chunks claimed so far (about one claim per lane per 1,000 commits)
+    // and the sticky overflow flag every append reads.
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> chunk_cursor{0};
     std::atomic<std::uint32_t> log_overflow{0};
-    // Populate-ahead frontier (words), off the append line: claimed
-    // outside the lock, so its CAS never bounces the line appenders spin on.
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> log_populated{0};
     // Fence tallies: every slot on its own line, so no counter shares one
     // with the append state or with another thread's slot.
     ShardedCounter pwb;
     ShardedCounter pfence;
     ShardedCounter psync;
   };
-  static_assert(offsetof(Header, log_populated) >= kCacheLineBytes,
-                "append state must own its cache line");
-  static_assert(offsetof(Header, pwb) >= offsetof(Header, log_populated) + kCacheLineBytes,
-                "the populate frontier must own its cache line");
+  static_assert(offsetof(Header, chunk_cursor) >= kCacheLineBytes,
+                "the marker seq must own its cache line");
+  static_assert(offsetof(Header, pwb) >= offsetof(Header, chunk_cursor) + kCacheLineBytes,
+                "the chunk cursor must not share a line with the tallies");
 
   struct ImageSlot {
     std::atomic<std::uint64_t> addr{0};  ///< 0 = empty
     std::atomic<TmWord> value{0};
   };
 
+  /// The calling thread's append position: one lane per thread, keyed to
+  /// the domain it last appended to. An append to another domain abandons
+  /// it and claims a fresh span there.
+  struct Lane {
+    std::uint64_t domain = 0;  ///< id_ of the domain appended to; 0 = none
+    std::uint64_t start = 0;   ///< log position of the span's header word
+    std::uint64_t used = 0;    ///< words of the span in use, header included
+    std::uint64_t limit = 0;   ///< words the span holds, clamped to the log's end
+    std::uint64_t span = 0;    ///< the header word's span bits
+  };
+
  public:
-  /// Populate-ahead chunk: 64 KiB of log, so at most two chunks (128 KiB)
-  /// are resident beyond the head.
+  /// Lane chunk: 64 KiB of log, claimed and faulted in at once.
   static constexpr std::size_t kPopulateChunkWords = (std::size_t{64} << 10) / sizeof(std::uint64_t);
   /// Durable-image table slots (a power of two).
   static constexpr std::size_t kImageSlots = std::size_t{1} << 16;
@@ -235,7 +256,8 @@ class PersistentDomain {
   explicit PersistentDomain(const PmemConfig& cfg = {})
       : cfg_(cfg),
         bytes_(sizeof(Header) + kImageSlots * sizeof(ImageSlot) +
-               cfg.log_words * sizeof(std::uint64_t)) {
+               cfg.log_words * sizeof(std::uint64_t)),
+        id_(pmem::g_next_domain_id.fetch_add(1, std::memory_order_relaxed)) {
 #if defined(_WIN32)
     base_ = ::operator new(bytes_, std::align_val_t{alignof(Header)});
     std::memset(base_, 0, bytes_);
@@ -286,46 +308,44 @@ class PersistentDomain {
   }
 
   // -------------------------------------------- the durable commit phases --
-  /// Phase 1: append the data record (one pwb per element, counted once
-  /// the record is appended). `entries` elements expose `.cell` and
-  /// `.value`. Returns the transaction id the marker and the recovery
-  /// records carry — 0, which no record carries, when the log is full (a
-  /// full log consumes no txid).
+  /// Phase 1: append the data record to the calling thread's lane (one
+  /// pwb per element, counted once the record is appended). `entries`
+  /// elements expose `.cell` and `.value`. Returns the record's log
+  /// position, which the marker names — 0, never a record's position (a
+  /// chunk header lives there), once the log is full.
   template <class Entries>
   std::uint64_t durable_log(const Entries& entries, const char* path) {
     pmem::kill_point(path, "before_log");
     const std::size_t n = std::size(entries);
-    populate_ahead();
-    std::uint64_t txid = 0;
-    std::uint64_t* rec = reserve_and_lock(2 + 2 * n);
-    if (rec != nullptr) {
-      // Under the append lock: a plain load/store pair, not a shared RMW.
-      std::atomic<std::uint64_t>& next = header().next_txid;
-      txid = next.load(std::memory_order_relaxed);
-      next.store(txid + 1, std::memory_order_relaxed);
-      rec[0] = (kDataTag << kTagShift) | static_cast<std::uint64_t>(n);
-      rec[1] = txid;
-      std::size_t i = 2;
-      for (const auto& e : entries) {
-        rec[i] = reinterpret_cast<std::uintptr_t>(e.cell);
-        rec[i + 1] = e.value;
-        i += 2;
-      }
-      publish_and_unlock(rec, 2 + 2 * n);
-      pwb(n + 1);  // the record header plus one write-back per logged pair
+    const std::uint64_t words = 2 + 2 * static_cast<std::uint64_t>(n);
+    Lane& l = lane();
+    std::uint64_t* rec = lane_reserve(l, words);
+    if (rec == nullptr) return 0;
+    const auto pos = static_cast<std::uint64_t>(rec - log_);
+    rec[0] = (kDataTag << kTagShift) | static_cast<std::uint64_t>(n);
+    rec[1] = pos;
+    std::size_t i = 2;
+    for (const auto& e : entries) {
+      rec[i] = reinterpret_cast<std::uintptr_t>(e.cell);
+      rec[i + 1] = e.value;
+      i += 2;
     }
-    return txid;
+    lane_publish(l, words);
+    pwb(n + 1);  // the record header plus one write-back per logged pair
+    return pos;
   }
 
-  /// Phase 2: persist the commit marker — the durability point. Everything
-  /// logged before is fenced ahead of the marker, the marker ahead of the
-  /// apply.
-  void durable_mark(std::uint64_t txid) {
-    std::uint64_t* rec = reserve_and_lock(2);
+  /// Phase 2: persist the commit marker for the record at `record` — the
+  /// durability point. Its seq is drawn here, under the caller's conflict
+  /// locks. Everything logged before is fenced ahead of the marker, the
+  /// marker ahead of the apply.
+  void durable_mark(std::uint64_t record) {
+    Lane& l = lane();
+    std::uint64_t* rec = lane_reserve(l, 2);
     if (rec != nullptr) {
-      rec[0] = kMarkTag << kTagShift;
-      rec[1] = txid;
-      publish_and_unlock(rec, 2);
+      rec[0] = (kMarkTag << kTagShift) | (record & kCountMask);
+      rec[1] = header().next_seq.fetch_add(1, std::memory_order_relaxed);
+      lane_publish(l, 2);
       pwb(1);
     }
     pfence(2);  // one ahead of the marker, one after it
@@ -354,18 +374,18 @@ class PersistentDomain {
   /// precedes its "after_*" kill point, so a flight-recorder dump at that
   /// point shows every phase that completed. The caller holds its
   /// conflict locks (stripe locks, locked stamps, the NOrec sequence lock)
-  /// across the whole step, so marker order is serialization order and no
+  /// across the whole step, so seq order is serialization order and no
   /// reader sees a value before it is durably marked; it releases them
   /// after.
   template <class Entries, class Publish>
   void persist(const Entries& entries, const char* path, trace::TraceRing* ring,
                Publish&& publish) {
     const std::uint64_t t0 = rdtsc();
-    const std::uint64_t txid = durable_log(entries, path);
+    const std::uint64_t record = durable_log(entries, path);
     const std::uint64_t t1 = rdtsc();
     trace::durable_phase(ring, trace::EventKind::kDurLog, t1 - t0);
     pmem::kill_point(path, "after_log");
-    durable_mark(txid);
+    durable_mark(record);
     trace::durable_phase(ring, trace::EventKind::kDurMark, rdtsc() - t1);
     pmem::kill_point(path, "after_mark");
     publish();
@@ -407,11 +427,12 @@ class PersistentDomain {
     TmWord value;
   };
   /// One durably committed transaction, `entries` in log order. The vector
-  /// recover_log() returns is sorted by marker position — the serialization
-  /// order recovery must replay in.
+  /// recover_log() returns is sorted by seq — the serialization order
+  /// recovery must replay in.
   struct RecoveredTxn {
-    std::uint64_t txid;
-    std::uint64_t marker_pos;
+    std::uint64_t seq;         ///< its marker's seq
+    std::uint64_t record;      ///< the record's log position (durable_log's return)
+    std::uint64_t marker_pos;  ///< the marker's log position
     std::vector<RecoveredEntry> entries;
   };
   struct RecoveryStats {
@@ -420,69 +441,68 @@ class PersistentDomain {
     std::size_t entries_applied = 0;
   };
 
-  /// Scans the published log: committed transactions (data record + marker)
-  /// sorted by marker order, plus the discard count. Read-only; safe after a
-  /// crash (never touches the append lock). Linear in the log length: data
-  /// records carry dense txids in log order, so a marker finds its record
-  /// at index txid - (first record's txid); a marker whose txid is out of
-  /// that range (or names no record before it) stays unmatched.
+  /// Scans every claimed chunk up to its header's count: committed
+  /// transactions (data record + marker) sorted by seq, plus the discard
+  /// count. Read-only; safe after a crash. Chunks are walked in log order,
+  /// so the records found so far are sorted by position and a marker finds
+  /// its record by binary search among them: a marker matches only a
+  /// record start found at a lower position, so a marker naming 0, a
+  /// position past the log, the middle of a record or a record after it
+  /// stays unmatched.
   [[nodiscard]] std::vector<RecoveredTxn> recover_log(std::size_t* discarded = nullptr) const {
-    struct Pending {
-      std::uint64_t txid;
-      std::uint64_t marker_pos = 0;
-      bool marked = false;
-      std::vector<RecoveredEntry> entries;
-    };
-    std::vector<Pending> seen;  // data records in log order
-    const std::uint64_t head = header().log_head.load(std::memory_order_acquire);
-    std::uint64_t pos = 0;
-    while (pos + 2 <= head) {
-      const std::uint64_t word0 = log_[pos];
-      const std::uint64_t tag = word0 >> kTagShift;
-      const std::uint64_t n = word0 & kCountMask;
-      if (tag == kDataTag) {
-        if (pos + 2 + 2 * n > head) break;  // truncated tail (crash mid-publish)
-        Pending p;
-        p.txid = log_[pos + 1];
-        p.entries.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-          p.entries.push_back({log_[pos + 2 + 2 * i], log_[pos + 3 + 2 * i]});
-        }
-        seen.push_back(std::move(p));
-        pos += 2 + 2 * n;
-      } else if (tag == kMarkTag) {
-        const std::uint64_t txid = log_[pos + 1];
-        if (!seen.empty()) {
-          const std::uint64_t idx = txid - seen.front().txid;  // wraps when txid is below
-          if (idx < seen.size() && seen[idx].txid == txid) {
-            seen[idx].marked = true;
-            seen[idx].marker_pos = pos;
+    std::vector<RecoveredTxn> seen;  // data records in log order; marker_pos 0 = unmarked
+    const std::uint64_t chunks = claimed_chunks();
+    for (std::uint64_t c = 0; c < chunks;) {
+      const std::uint64_t start = c * kPopulateChunkWords;
+      const std::uint64_t word =
+          std::atomic_ref<std::uint64_t>(log_[start]).load(std::memory_order_acquire);
+      const std::uint64_t end =
+          std::min<std::uint64_t>(start + (word & kUsedMask), cfg_.log_words);
+      std::uint64_t pos = start + 1;
+      while (pos + 2 <= end) {
+        const std::uint64_t tag = log_[pos] >> kTagShift;
+        const std::uint64_t low = log_[pos] & kCountMask;
+        if (tag == kDataTag && low <= (end - pos - 2) / 2 && log_[pos + 1] == pos) {
+          RecoveredTxn t{0, pos, 0, {}};
+          t.entries.reserve(static_cast<std::size_t>(low));
+          for (std::uint64_t i = 0; i < low; ++i) {
+            t.entries.push_back({log_[pos + 2 + 2 * i], log_[pos + 3 + 2 * i]});
           }
+          seen.push_back(std::move(t));
+          pos += 2 + 2 * low;
+        } else if (tag == kMarkTag) {
+          // A commit's marker usually follows its record in the lane.
+          auto it = seen.empty() || seen.back().record != low
+                        ? std::lower_bound(seen.begin(), seen.end(), low,
+                                           [](const RecoveredTxn& t, std::uint64_t p) {
+                                             return t.record < p;
+                                           })
+                        : seen.end() - 1;
+          if (it != seen.end() && it->record == low) {
+            it->seq = log_[pos + 1];
+            it->marker_pos = pos;
+          }
+          pos += 2;
+        } else {
+          break;  // unparseable word: nothing after it in this chunk is reachable
         }
-        pos += 2;
-      } else {
-        break;  // unparseable word: nothing after it is reachable
       }
+      c += std::max<std::uint64_t>(word >> kSpanShift, 1);
     }
+    std::vector<std::pair<std::uint64_t, std::size_t>> order;  // (seq, index in seen)
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      if (seen[i].marker_pos != 0) order.emplace_back(seen[i].seq, i);
+    }
+    std::sort(order.begin(), order.end());
     std::vector<RecoveredTxn> committed;
-    std::size_t dropped = 0;
-    for (Pending& p : seen) {
-      if (p.marked) {
-        committed.push_back({p.txid, p.marker_pos, std::move(p.entries)});
-      } else {
-        ++dropped;
-      }
-    }
-    std::sort(committed.begin(), committed.end(),
-              [](const RecoveredTxn& a, const RecoveredTxn& b) {
-                return a.marker_pos < b.marker_pos;
-              });
-    if (discarded != nullptr) *discarded = dropped;
+    committed.reserve(order.size());
+    for (const auto& [seq, i] : order) committed.push_back(std::move(seen[i]));
+    if (discarded != nullptr) *discarded = seen.size() - committed.size();
     return committed;
   }
 
   /// Full recovery: replay every marked transaction into the durable image
-  /// in marker order (idempotent redo — repairs a crash mid-apply). Fence
+  /// in seq order (idempotent redo — repairs a crash mid-apply). Fence
   /// counters are NOT bumped: recovery is not a commit.
   RecoveryStats recover() {
     std::size_t discarded = 0;
@@ -503,65 +523,76 @@ class PersistentDomain {
     return header().log_overflow.load(std::memory_order_relaxed) != 0;
   }
 
-  /// The populate-ahead frontier, in log words: the log below it has been
-  /// faulted in (or the advice was unavailable).
+  /// Log words claimed by lanes, and so faulted in (or the advice was
+  /// unavailable): whole chunks, clamped to the log's end.
   [[nodiscard]] std::uint64_t log_populated() const {
-    return header().log_populated.load(std::memory_order_relaxed);
+    return std::min<std::uint64_t>(claimed_chunks() * kPopulateChunkWords, cfg_.log_words);
   }
 
  private:
   [[nodiscard]] Header& header() { return *static_cast<Header*>(base_); }
   [[nodiscard]] const Header& header() const { return *static_cast<const Header*>(base_); }
 
-  /// Keeps the log faulted in ahead of the head, outside the append lock
-  /// (see the header comment). At most one thread wins each chunk's CAS;
-  /// the losers and everyone else append without waiting for it.
-  void populate_ahead() {
-    Header& h = header();
-    std::uint64_t frontier = h.log_populated.load(std::memory_order_relaxed);
-    if (frontier >= cfg_.log_words ||
-        frontier > h.log_head.load(std::memory_order_relaxed) + kPopulateChunkWords) {
-      return;
-    }
-    const std::uint64_t next =
-        std::min<std::uint64_t>(frontier + kPopulateChunkWords, cfg_.log_words);
-    if (!h.log_populated.compare_exchange_strong(frontier, next, std::memory_order_relaxed)) {
-      return;
+  static Lane& lane() {
+    static thread_local Lane l;
+    return l;
+  }
+
+  /// Chunks the cursor has handed out, clamped to the log's end (an
+  /// overflowing claim moves the cursor past it).
+  [[nodiscard]] std::uint64_t claimed_chunks() const {
+    const std::uint64_t in_log =
+        (cfg_.log_words + kPopulateChunkWords - 1) / kPopulateChunkWords;
+    return std::min(header().chunk_cursor.load(std::memory_order_relaxed), in_log);
+  }
+
+  /// Room for `words` more words at the end of `l`, claiming a new span
+  /// when the lane's is full or keyed to another domain; nullptr once the
+  /// log has overflowed. Overflow is sticky and stops every lane, not only
+  /// the one that hit the end: a commit serialized after one the log could
+  /// not hold must not become durable either (the simulation does not
+  /// checkpoint).
+  [[nodiscard]] std::uint64_t* lane_reserve(Lane& l, std::uint64_t words) {
+    if (log_overflowed()) return nullptr;
+    if ((l.domain != id_ || l.used + words > l.limit) && !claim(l, words)) return nullptr;
+    return log_ + l.start + l.used;
+  }
+
+  /// Publishes the `words` just written at the lane's end: one release
+  /// store of the span's header word, after which recovery sees them.
+  void lane_publish(Lane& l, std::uint64_t words) {
+    l.used += words;
+    std::atomic_ref<std::uint64_t>(log_[l.start]).store(l.span | l.used, std::memory_order_release);
+  }
+
+  /// Claims the chunks for one `words`-word append plus the header word
+  /// with one fetch_add on the cursor, faults them in and writes the
+  /// span's header. False (and the log overflows) when they do not fit.
+  bool claim(Lane& l, std::uint64_t words) {
+    const std::uint64_t chunks = (words + kPopulateChunkWords) / kPopulateChunkWords;
+    const std::uint64_t first = header().chunk_cursor.fetch_add(chunks, std::memory_order_relaxed);
+    const std::uint64_t start = first * kPopulateChunkWords;
+    const std::uint64_t stop =
+        std::min<std::uint64_t>((first + chunks) * kPopulateChunkWords, cfg_.log_words);
+    if (start >= stop || stop - start < words + 1) {
+      if (header().log_overflow.exchange(1, std::memory_order_relaxed) == 0) {
+        trace::anomaly("redo_log_overflow");  // first transition only
+      }
+      return false;
     }
 #if defined(MADV_POPULATE_WRITE)
     const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
-    const auto begin = reinterpret_cast<std::uintptr_t>(log_ + frontier) & ~(page - 1);
-    const auto end = reinterpret_cast<std::uintptr_t>(log_ + next);
+    const auto begin = reinterpret_cast<std::uintptr_t>(log_ + start) & ~(page - 1);
+    const auto end = reinterpret_cast<std::uintptr_t>(log_ + stop);
     (void)madvise(reinterpret_cast<void*>(begin), end - begin, MADV_POPULATE_WRITE);
 #endif
-  }
-
-  /// Takes the append lock and returns the record's slot, or nullptr when
-  /// the log is full (overflow is sticky and visible; the simulation does
-  /// not checkpoint). The head is only published in publish_and_unlock(),
-  /// after the record is fully written — a process death mid-append (some
-  /// OTHER thread hit its kill point) leaves the partial record beyond the
-  /// published head, invisible to recovery.
-  [[nodiscard]] std::uint64_t* reserve_and_lock(std::size_t words) {
-    Header& h = header();
-    while (h.log_lock.exchange(1, std::memory_order_acquire) != 0) {
-      while (h.log_lock.load(std::memory_order_relaxed) != 0) detail::cpu_relax();
-    }
-    const std::uint64_t head = h.log_head.load(std::memory_order_relaxed);
-    if (head + words > cfg_.log_words) {
-      const std::uint64_t was = h.log_overflow.exchange(1, std::memory_order_relaxed);
-      h.log_lock.store(0, std::memory_order_release);
-      if (was == 0) trace::anomaly("redo_log_overflow");  // first transition only
-      return nullptr;
-    }
-    return log_ + head;
-  }
-
-  void publish_and_unlock(std::uint64_t* rec, std::size_t words) {
-    Header& h = header();
-    h.log_head.store(static_cast<std::uint64_t>(rec - log_) + words,
-                     std::memory_order_release);
-    h.log_lock.store(0, std::memory_order_release);
+    l = {id_, start, 1, stop - start, chunks << kSpanShift};
+    std::atomic_ref<std::uint64_t>(log_[start]).store(l.span | 1, std::memory_order_relaxed);
+    // The crash model is process death, which loses no store already
+    // made: the span must be written before any record word of the span,
+    // so recovery never reads a later chunk of it as a chunk header.
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    return true;
   }
 
   void image_store(std::uint64_t key, TmWord value) {
@@ -590,6 +621,7 @@ class PersistentDomain {
 
   PmemConfig cfg_;
   std::size_t bytes_;
+  std::uint64_t id_;  ///< keys the per-thread lanes (pmem::g_next_domain_id)
   void* base_;
   ImageSlot* image_;
   std::uint64_t* log_;

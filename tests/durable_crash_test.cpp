@@ -10,9 +10,16 @@
 //    discarded only at after_log, replaying into the parent's pristine
 //    cells reproduces the sequential oracle balances, and sum == minted.
 //    A long-log leg repeats the after_log and after_mark points of every
-//    path with the crash landing after the log spans several populate-ahead
-//    chunks, so no torn record or marker ever reaches recovery from a
-//    page the window faulted in ahead of the head.
+//    path with the crash landing after the lane spans several chunks, so
+//    no torn record or marker ever reaches recovery from a chunk faulted
+//    in at its claim.
+//
+//  * three-lane long log — three threads, each running the deterministic
+//    plan on its own four accounts, all cross at least 3 lane chunks
+//    before a barrier, and the kill fires after it. Recovery walks the
+//    interleaved lane chunks: each thread's recovered commits must be a
+//    prefix of its own plan in seq order, each lane's records span at
+//    least four chunks, and replay reproduces every thread's oracle.
 //
 //  * randomized concurrent oracle — 4 threads of random transfers, a crash
 //    at a random kill point / hit count; the recovered log must be a legal
@@ -27,8 +34,10 @@
 // hardware commit takes (crash_harness.h; same exclusion capacity_paths
 // documents).
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -59,7 +68,7 @@ constexpr int kTxnsPerChild = 8;
 constexpr int kKillHit = 3;  // crash inside the 3rd commit's persist sequence
 
 // The long-log leg: a 2-write transfer appends 8 log words, so the crash
-// lands after the log spans more than three populate-ahead chunks.
+// lands after the log spans more than three lane chunks.
 constexpr int kLongKillHit =
     static_cast<int>(3 * PersistentDomain::kPopulateChunkWords / 8) + 100;
 constexpr int kLongTxnsPerChild = kLongKillHit + 16;
@@ -344,6 +353,116 @@ std::vector<KillPoint> log_tail_kill_points() {
   return points;
 }
 
+// ---------------------------------------------- long log, three lanes --
+constexpr int kLaneThreads = 3;
+// Per thread, before the barrier: 8-word transfers fill 1,023 per chunk,
+// so every lane has filled 3 chunks and opened its 4th.
+constexpr int kLanePre = static_cast<int>(3 * PersistentDomain::kPopulateChunkWords / 8) + 50;
+constexpr int kLanePost = 200;
+
+/// Child side: thread t runs plan_txn(0..) on accounts [4t, 4t + 4), and
+/// waits at kLanePre until every thread got there.
+template <class H>
+void run_lane_child(TmUniverse<H>& u, const char* path, const AccountStore& store) {
+  with_path_tm(u, path, [&](auto& tm) {
+    std::atomic<int> arrived{0};
+    auto worker = [&](int t) {
+      typename std::decay_t<decltype(tm)>::ThreadCtx ctx(tm);
+      const auto base = static_cast<std::uint64_t>(t) * kAccounts;
+      for (int i = 0; i < kLanePre + kLanePost; ++i) {
+        if (i == kLanePre) {
+          arrived.fetch_add(1);
+          while (arrived.load() < kLaneThreads) std::this_thread::yield();
+        }
+        const Plan p = plan_txn(i);
+        bool ok = false;
+        tm.atomically(ctx, [&](auto& h) {
+          ok = store.transfer(h, base + p.from, base + p.to, p.amount);
+        });
+        child_require(ok, 3);
+      }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kLaneThreads; ++t) threads.emplace_back(worker, t);
+    for (auto& t : threads) t.join();
+  });
+}
+
+/// `strict` = sim: the tl2 points, which every commit of a Tl2 child
+/// passes, must fire. Other paths may spill commits onto a sibling path
+/// under concurrency, so their children may complete instead.
+template <class H>
+void lane_long_log_sweep(bool strict) {
+  for (const KillPoint& kp : log_tail_kill_points()) {
+    UniverseConfig ucfg;
+    ucfg.durable = true;
+    TmUniverse<H> u(ucfg);
+    AccountStore store(kLaneThreads * kAccounts, kInitial, /*shards=*/2);
+    const std::string name = kp.name();
+
+    const ChildOutcome outcome = crash::run_crash_child([&] {
+      pmem::arm_kill(name.c_str(), kLaneThreads * kLanePre + kLanePost);
+      run_lane_child(u, kp.path, store);
+    });
+    CHECK(outcome != ChildOutcome::kFailed);
+    if (strict && std::strcmp(kp.path, pmem::kPathTl2) == 0) {
+      CHECK(outcome == ChildOutcome::kKilled);
+    }
+    if (outcome == ChildOutcome::kFailed) {
+      std::printf("    kill point %s: child %s\n", name.c_str(), crash::to_string(outcome));
+      continue;
+    }
+
+    PersistentDomain& pd = u.pmem();
+    std::size_t discarded = 0;
+    const auto txns = pd.recover_log(&discarded);
+    CHECK(!pd.log_overflowed());
+    CHECK(discarded <= static_cast<std::size_t>(kLaneThreads));
+    if (outcome == ChildOutcome::kKilled && kp.leaves_unmarked_record()) CHECK(discarded >= 1);
+
+    std::unordered_map<std::uint64_t, std::size_t> account_of;
+    for (std::size_t a = 0; a < kLaneThreads * kAccounts; ++a) {
+      account_of[reinterpret_cast<std::uintptr_t>(store.account_cell(a))] = a;
+    }
+    TmWord oracle[kLaneThreads][kAccounts];
+    for (auto& row : oracle) {
+      for (auto& b : row) b = kInitial;
+    }
+    int done[kLaneThreads] = {};
+    std::set<std::uint64_t> chunks[kLaneThreads];
+    bool prefix = true;
+    for (const auto& t : txns) {
+      const auto src = t.entries.empty() ? account_of.end() : account_of.find(t.entries[0].addr);
+      prefix = t.entries.size() == 2 && src != account_of.end();
+      if (!prefix) break;
+      const std::size_t th = src->second / kAccounts;
+      const Plan p = plan_txn(done[th]++);
+      oracle[th][p.from] -= p.amount;
+      oracle[th][p.to] += p.amount;
+      prefix = src->second == th * kAccounts + p.from &&
+               t.entries[1].addr ==
+                   reinterpret_cast<std::uintptr_t>(store.account_cell(th * kAccounts + p.to)) &&
+               t.entries[0].value == oracle[th][p.from] && t.entries[1].value == oracle[th][p.to];
+      if (!prefix) break;
+      chunks[th].insert(t.record / PersistentDomain::kPopulateChunkWords);
+    }
+    CHECK(prefix);
+    if (!prefix) continue;
+    for (int th = 0; th < kLaneThreads; ++th) {
+      CHECK(done[th] >= kLanePre);
+      CHECK(chunks[th].size() >= 4);
+    }
+
+    crash::apply_recovered_cells(pd);
+    TmWord sum = 0;
+    for (std::size_t a = 0; a < kLaneThreads * kAccounts; ++a) {
+      CHECK_EQ(store.unsafe_balance(a), oracle[a / kAccounts][a % kAccounts]);
+      sum += store.unsafe_balance(a);
+    }
+    CHECK_EQ(sum, store.total_minted());
+  }
+}
+
 void test_sweep_sim() {
   kill_point_sweep<HtmSim>(/*strict=*/true, crash::all_kill_points(), kKillHit, kTxnsPerChild);
 }
@@ -352,6 +471,7 @@ void test_long_log_sweep_sim() {
                            kLongTxnsPerChild);
 }
 void test_concurrent_sim() { concurrent_recovery_oracle<HtmSim>(); }
+void test_lane_long_log_sim() { lane_long_log_sweep<HtmSim>(/*strict=*/true); }
 
 void test_sweep_rtm_when_viable() {
 #if defined(__RTM__)
@@ -383,6 +503,7 @@ int main() {
       {"kill_point_sweep_every_path_sim", rhtm::test_sweep_sim},
       {"kill_point_sweep_long_log_sim", rhtm::test_long_log_sweep_sim},
       {"concurrent_recovery_oracle_sim", rhtm::test_concurrent_sim},
+      {"kill_point_sweep_three_lane_long_log_sim", rhtm::test_lane_long_log_sim},
       {"kill_point_sweep_rtm_when_viable", rhtm::test_sweep_rtm_when_viable},
       {"concurrent_recovery_oracle_rtm_when_viable", rhtm::test_concurrent_rtm_when_viable},
   });
