@@ -135,9 +135,20 @@ class alignas(kCacheLineBytes) PublicationSeqlock {
   }
   void unlock() { lock_.store(0, std::memory_order_release); }
 
-  /// Epoch marks for publishers already holding the lock.
-  void mark_in_flight() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
-  void mark_settled() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+  /// Epoch marks for publishers already holding the lock. The lock holder
+  /// is the epoch's only writer (the lock's acquire orders it after the
+  /// previous holder's marks), so each mark is a plain store, not an RMW.
+  /// The data stores between the marks must be release stores: each one
+  /// orders the odd mark before it, so a reader whose acquire load sees
+  /// any of them sees the odd epoch (or a later one) on its closing load.
+  /// The settled mark's release orders the data stores before the even
+  /// epoch a reader opens with.
+  void mark_in_flight() {
+    epoch_.store(epoch_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  void mark_settled() {
+    epoch_.store(epoch_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  }
 
  private:
   std::atomic<std::uint32_t> lock_{0};

@@ -11,11 +11,13 @@
 //    no-ops: on real NVM these are CLWB/SFENCE; here they are tallies in
 //    the region header, so benches report fences-per-commit and the
 //    zero-overhead contract of non-durable mode is testable. Each tally
-//    is a ShardedCounter: per-thread slots, summed on read and exact at
-//    quiescence, so counting does not contend where the modelled fence
-//    would not. Each phase adds its fences in one step (log: n+1 pwb;
-//    mark: 1 pwb, 2 pfence; apply: n pwb, 1 psync) rather than one RMW per
-//    modelled fence, with the same per-commit totals. The pwb counter
+//    is a ShardedCounter: an add is a plain store to a slot the thread
+//    leases (threads past 64 live ones, and a forked child, share one
+//    fetch_add overflow slot), summed on read and exact at quiescence, so
+//    counting neither contends nor takes a locked RMW where the modelled
+//    fence would not. Each phase adds its fences in one step (log: n+1
+//    pwb; mark: 1 pwb, 2 pfence; apply: n pwb, 1 psync) rather than one
+//    add per modelled fence, with the same per-commit totals. The pwb counter
 //    models one write-back per *logged element* (a 16-byte addr/value pair
 //    or record header, each within one cache line), not physical
 //    64-byte-line dedup.

@@ -1,6 +1,7 @@
 // Read-set validation: direct unit checks against a stripe table, the TL2
 // invariant under live concurrent writers — a reader transaction must never
-// observe a torn x+y snapshot — and the default clock's read-version
+// observe a torn x+y snapshot — the sim's publication epoch under both kinds
+// of multi-word publication, and the default clock's read-version
 // extension.
 
 #include <atomic>
@@ -144,6 +145,58 @@ void snapshot_invariant_under_concurrent_writer() {
   CHECK_EQ(x.unsafe_read() + y.unsafe_read(), 100u);
 }
 
+/// HtmSim's two publication kinds — a hardware commit's write-back and a
+/// nontx_publish batch — alternate, each storing one new value into two
+/// cells. A reader that brackets its two loads with publication_epoch()
+/// may accept only an even, unchanged epoch, and then must see the cells
+/// equal: the odd mark has to reach a reader that sees any of the stores.
+void publication_epoch_brackets_every_publication() {
+  HtmSim htm;
+  TmCell a;
+  TmCell b;
+  std::atomic<bool> stop{false};
+  std::atomic<TmWord> published{0};
+  std::thread writer([&] {
+    struct Ent {
+      TmCell* cell;
+      TmWord value;
+    };
+    HtmSim::Tx tx(htm);
+    for (TmWord v = 1; !stop.load(std::memory_order_acquire); ++v) {
+      if (v % 2 == 0) {
+        const Ent batch[] = {{&a, v}, {&b, v}};
+        htm.nontx_publish(batch);
+      } else {
+        const HtmOutcome out = htm.execute(tx, [&](HtmSim::Tx& t) {
+          t.store(a, v);
+          t.store(b, v);
+        });
+        CHECK(out.ok());
+      }
+      published.store(v, std::memory_order_relaxed);
+    }
+  });
+
+  std::uint64_t accepted = 0;
+  bool torn = false;
+  // Read until both kinds have been published many times: a thread can
+  // start late on a loaded host.
+  for (int i = 0; i < 1000000 || published.load(std::memory_order_relaxed) < 100000; ++i) {
+    const TmWord e1 = htm.publication_epoch();
+    const TmWord va = htm.nontx_load(a);
+    const TmWord vb = htm.nontx_load(b);
+    const TmWord e2 = htm.publication_epoch();
+    if ((e1 & 1) != 0 || e1 != e2) continue;
+    ++accepted;
+    if (va != vb) torn = true;
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  CHECK(!torn);
+  CHECK(accepted > 0);
+  CHECK_EQ(htm.publication_epoch() % 2, 0u);
+}
+
 /// The emulated substrate's hardware commits are plain accesses, so two
 /// racing ones can leave the GV1 clock below a stripe stamp one of them
 /// wrote. Once the writers stop, a software transaction must still get
@@ -283,6 +336,8 @@ int main() {
       TestCase{"validate_detects_foreign_lock", rhtm::validate_detects_foreign_lock},
       TestCase{"consecutive_dedup", rhtm::consecutive_dedup},
       TestCase{"zipfian_rereads_exact_dedup", rhtm::zipfian_rereads_exact_dedup},
+      TestCase{"publication_epoch_brackets_every_publication",
+               rhtm::publication_epoch_brackets_every_publication},
       TestCase{"snapshot_invariant_under_concurrent_writer",
                rhtm::snapshot_invariant_under_concurrent_writer},
       TestCase{"emul_software_retry_catches_the_clock_up",
