@@ -53,7 +53,6 @@ struct Options {
   std::vector<unsigned> threads = {1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20};
   SubstrateKind substrate = SubstrateKind::kEmul;
   PinMode pin = PinMode::kNone;
-  CmPolicy cm = CmPolicy::kFixed;
   NumaMode numa = NumaMode::kOff;
   bool full = false;
 
@@ -74,7 +73,7 @@ struct Options {
   static void usage(const char* argv0, std::FILE* out) {
     std::fprintf(out,
                  "usage: %s [--seconds=S] [--threads=a,b,c] [--substrate=emul|sim|rtm]\n"
-                 "          [--pin=none|compact|scatter] [--cm=fixed|adaptive]\n"
+                 "          [--pin=none|compact|scatter]\n"
                  "          [--numa=off|shard|shard+clock]\n"
                  "          [--full] [--list] [--scenario=a,b] [--json-dir=DIR] [--no-json]\n"
                  "          [--trace=FILE[:CAP]] [--timeline=MS]\n"
@@ -87,9 +86,6 @@ struct Options {
                  "  --pin=none|compact|scatter\n"
                  "                       worker-thread affinity (compact fills adjacent CPUs,\n"
                  "                       scatter alternates across the CPU id halves)\n"
-                 "  --cm=fixed|adaptive\n"
-                 "                       contention-management policy (core/contention.h;\n"
-                 "                       fixed = the paper's coins/budgets, the baseline)\n"
                  "  --numa=off|shard|shard+clock\n"
                  "                       NUMA geometry (core/topology.h): socket-sharded\n"
                  "                       stripe tables, +clock adds per-socket clock caches\n"
@@ -154,10 +150,6 @@ struct Options {
         if (!parse_pin_mode(arg.c_str() + 6, &opt.pin)) {
           die("unknown pin mode in", arg);
         }
-      } else if (arg.rfind("--cm=", 0) == 0) {
-        if (!parse_cm_policy(arg.c_str() + 5, &opt.cm)) {
-          die("unknown contention policy in", arg);
-        }
       } else if (arg.rfind("--numa=", 0) == 0) {
         if (!parse_numa_mode(arg.c_str() + 7, &opt.numa)) {
           die("unknown numa mode in", arg);
@@ -216,16 +208,14 @@ struct Options {
   }
 
   [[nodiscard]] const char* substrate_name() const { return to_string(substrate); }
-  [[nodiscard]] const char* cm_name() const { return to_string(cm); }
   [[nodiscard]] const char* numa_name() const { return to_string(numa); }
 };
 
-/// UniverseConfig seeded from the global bench options (the contention-
-/// management policy and the run's tracer). Scenarios override further
-/// fields on the returned config before constructing their universe.
+/// UniverseConfig seeded from the global bench options (the run's tracer
+/// and NUMA mode). Scenarios override further fields on the returned
+/// config before constructing their universe.
 [[nodiscard]] inline UniverseConfig universe_config(const Options& opt) {
   UniverseConfig cfg;
-  cfg.cm.policy = opt.cm;
   cfg.tracer = opt.tracer;
   cfg.numa = opt.numa;
   return cfg;

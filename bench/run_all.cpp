@@ -115,8 +115,7 @@ int registry_main(int argc, char** argv) {
     rep.seconds = opt.seconds;
     stamp_provenance(rep);                    // what built/ran this (artifact diffs)
     rep.set_meta("pin", to_string(opt.pin));  // affinity is part of a run's geometry
-    rep.set_meta("cm", opt.cm_name());        // so is the contention policy
-    rep.set_meta("numa", opt.numa_name());    // and the NUMA sharding mode
+    rep.set_meta("numa", opt.numa_name());    // so is the NUMA sharding mode
     if (opt.substrate == SubstrateKind::kRtm) {
       // Whether the PMU counters in this report are hardware-measured, or
       // absent and why (so a diff never mistakes "unavailable" for "zero").

@@ -40,8 +40,8 @@ constexpr TmWord kInitialBalance = 1 << 16;  ///< deep enough that transfers rar
 const std::vector<Series> kDurableSeries = {Series::kTl2, Series::kRh1Fast,
                                             Series::kRh1Mix100, Series::kHybridNorec};
 
-/// The run's universe (its --cm policy, --numa geometry and --trace
-/// tracer) with durability on.
+/// The run's universe (its --numa geometry and --trace tracer) with
+/// durability on.
 [[nodiscard]] UniverseConfig durable_universe_config(const Options& opt) {
   UniverseConfig ucfg = universe_config(opt);
   ucfg.durable = true;

@@ -62,7 +62,6 @@ class GlobalVersionClock {
     }
   }
 
-  [[nodiscard]] GvMode mode() const { return mode_; }
   [[nodiscard]] bool cached() const { return !caches_.empty(); }
 
   /// Whether hardware commits store the clock cell inside their

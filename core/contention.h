@@ -31,15 +31,14 @@
 //                  proportional to the observed conflict density after
 //                  conflicts, bounded-exponential otherwise.
 //
-// The policy is selected per universe (UniverseConfig::cm, bench flag
-// --cm=fixed|adaptive); the per-protocol *limits* (coin
-// percentage, attempt budget, capacity retries) stay in each protocol's
-// Config and are merged in at ThreadCtx construction. All state is
+// The policy is selected per universe (UniverseConfig::cm; the contention
+// and ablation_policy scenarios set it per series); the per-protocol
+// *limits* (coin percentage, attempt budget, capacity retries) come from
+// each protocol and are merged in at ThreadCtx construction. All state is
 // per-thread and all decisions are deterministic functions of the call
 // sequence and the caller-supplied RNG — no clocks, no globals.
 
 #include <cstdint>
-#include <cstring>
 
 #include "core/rng.h"
 #include "core/stats.h"
@@ -47,28 +46,16 @@
 
 namespace rhtm {
 
-/// The contention-management policy axis (--cm= flag, UniverseConfig::cm).
+/// The contention-management policy axis (UniverseConfig::cm).
 enum class CmPolicy : std::uint8_t { kFixed, kAdaptive };
 
-/// Canonical policy names: the --cm= flag values and the JSON reports'
-/// `cm` meta field. Single source of truth for both.
+/// Canonical policy names, as the contention series name them.
 [[nodiscard]] constexpr const char* to_string(CmPolicy p) {
   switch (p) {
     case CmPolicy::kFixed: return "fixed";
     case CmPolicy::kAdaptive: return "adaptive";
   }
   return "?";
-}
-
-/// Parses a canonical policy name. Returns false on an unknown name.
-[[nodiscard]] inline bool parse_cm_policy(const char* name, CmPolicy* out) {
-  for (const CmPolicy p : {CmPolicy::kFixed, CmPolicy::kAdaptive}) {
-    if (std::strcmp(name, to_string(p)) == 0) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
 }
 
 /// Universe-level contention-management configuration: the policy. The
@@ -118,9 +105,6 @@ class ContentionManager {
 
   ContentionManager() : ContentionManager(CmConfig{}, Limits{}) {}
   ContentionManager(const CmConfig& cfg, const Limits& lim) : cfg_(cfg), lim_(lim) {}
-
-  [[nodiscard]] CmPolicy policy() const { return cfg_.policy; }
-  [[nodiscard]] const Limits& limits() const { return lim_; }
 
   /// Attaches the owning ThreadCtx's trace ring (null = no tracing). The
   /// manager then records its mode decisions — software-mode enter/exit

@@ -26,18 +26,19 @@ namespace rhtm {
 template <class H>
 class HybridNorec {
  public:
+  /// Capacity aborts before giving up on hardware.
+  static constexpr unsigned kCapacityRetries = 2;
+
   struct Config {
     std::uint32_t inject_abort_bp = 0;
-    unsigned max_hw_attempts = 8;
-    unsigned capacity_retries = 2;
+    unsigned max_hw_attempts = 8;  ///< 0 disables the hardware path
   };
 
   class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(HybridNorec& tm)
         : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{
-                                            0, tm.cfg_.max_hw_attempts,
-                                            tm.cfg_.capacity_retries}) {}
+                                            0, tm.cfg_.max_hw_attempts, kCapacityRetries}) {}
 
    private:
     friend class HybridNorec;
@@ -213,18 +214,20 @@ class HybridNorec {
 template <class H>
 class PhasedTm {
  public:
+  /// Hardware attempts before the software phase, and capacity aborts
+  /// before giving up on hardware.
+  static constexpr unsigned kMaxHwAttempts = 8;
+  static constexpr unsigned kCapacityRetries = 2;
+
   struct Config {
     std::uint32_t inject_abort_bp = 0;
-    unsigned max_hw_attempts = 8;
-    unsigned capacity_retries = 2;
   };
 
   class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(PhasedTm& tm)
-        : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{
-                                            0, tm.cfg_.max_hw_attempts,
-                                            tm.cfg_.capacity_retries}) {}
+        : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{0, kMaxHwAttempts,
+                                                                  kCapacityRetries}) {}
 
    private:
     friend class PhasedTm;
@@ -234,7 +237,7 @@ class PhasedTm {
   };
 
   explicit PhasedTm(TmUniverse<H>& u, Config cfg = {})
-      : u_(u), cfg_(cfg), injector_(cfg.inject_abort_bp) {}
+      : u_(u), injector_(cfg.inject_abort_bp) {}
 
   template <class Body>
   void atomically(ThreadCtx& ctx, Body&& body) {
@@ -251,7 +254,7 @@ class PhasedTm {
     // hardware handle captures no redo, so its commits could not be logged.
     // (HybridTm's fast path shows what a durable hardware phase costs; the
     // phased design's whole point is zero instrumentation, so it opts out.)
-    if (!u_.durable() && cfg_.max_hw_attempts > 0 && !ctx.cm.start_in_software() &&
+    if (!u_.durable() && !ctx.cm.start_in_software() &&
         detail::hardware_attempts(
             ctx, u_.htm(), injector_, ExecPath::kHtm,
             [&] { return phase_.word.load(std::memory_order_acquire) == 0; },  // HW phase?
@@ -273,7 +276,6 @@ class PhasedTm {
   }
 
   TmUniverse<H>& u_;
-  Config cfg_;
   AbortInjector injector_;
   TmCell phase_;  ///< count of transactions currently executing in software
 };

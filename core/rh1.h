@@ -5,8 +5,9 @@
 //
 // Fast path (kRh1Fast): the whole body runs in ONE hardware transaction.
 // Reads are completely uninstrumented (one load). Writes store the data
-// word and record the stripe; at the commit point the transaction re-reads
-// the clock and publishes every written stripe at clock+1, so software
+// word and record the stripe; at the commit point (TmUniverse's, shared by
+// every stripe-stamping hardware commit) the transaction re-reads the
+// clock and publishes every written stripe at clock+1, so software
 // readers serialize against fast commits through the ordinary TL2
 // validation rules. Under the default GV6 clock the commit reads the clock
 // but never writes it; a software reader that meets the stamp extends its
@@ -55,13 +56,14 @@ class HybridTm {
  public:
   /// Conflict retries of the reduced hardware commit before it gives up.
   static constexpr unsigned kCommitRetries = 8;
+  /// Fast-path capacity aborts before the software fallback.
+  static constexpr unsigned kCapacityRetries = 2;
 
   struct Config {
     std::uint32_t inject_abort_bp = 0;
     unsigned slow_retry_percent = 100;  ///< Mixed-N: % of aborts retried in software
     bool force_slow_path = false;       ///< breakdown bench: software body + HTM commit
     bool force_rh2 = false;             ///< ablation A4: visible-read slow mode
-    unsigned capacity_retries = 2;      ///< fast-path capacity aborts before fallback
   };
 
   class ThreadCtx : public detail::HwTxContext<H> {
@@ -69,7 +71,7 @@ class HybridTm {
     explicit ThreadCtx(HybridTm& tm)
         : detail::HwTxContext<H>(tm.u_, ContentionManager::Limits{
                                             tm.cfg_.slow_retry_percent, 0,
-                                            tm.cfg_.capacity_retries}) {}
+                                            kCapacityRetries}) {}
 
    private:
     friend class HybridTm;
@@ -144,35 +146,26 @@ class HybridTm {
           FastHandle h{t, u_.stripes(), ctx.fast_written_,
                        durable ? &ctx.fast_redo_ : nullptr};
           body(h);
-          fast_commit_stamp(t, ctx.fast_written_, &fast_wv);
+          const auto& written = ctx.fast_written_.items();
+          if (written.empty()) return;
+          // Only while RH2 readers exist: refuse stripes with visible
+          // readers, all of them before the first stamp.
+          if (t.load(rh2_active_) != 0) {
+            for (const std::uint32_t s : written) {
+              if (t.load(u_.stripes().read_mask(s)) != 0) t.abort_explicit();
+            }
+          }
+          fast_wv = u_.hw_commit_stamp(t, written, detail::kNoStripeCheck);
         },
         [&] {
           if (ctx.fast_written_.empty()) return;
-          hw_committed(ctx, ctx.fast_redo_, ctx.fast_written_.items(), fast_wv,
-                       pmem::kPathRh1Fast);
+          u_.hw_committed(ctx.fast_redo_, ctx.fast_written_.items(), fast_wv,
+                          pmem::kPathRh1Fast, ctx.ring);
         })) {
       return;
     }
     trace::escalate(ctx.ring, ExecPath::kRh1Slow);
     run_slow(ctx, body, false);
-  }
-
-  /// Commit-point publication for the fast path: fresh clock, one stamp
-  /// per distinct written stripe, and — only while RH2 readers exist —
-  /// mask checks. In durable mode the stamps carry the lock bit: the
-  /// transaction's in-memory effects become visible at _xend, but every
-  /// written stripe stays locked until hw_committed() has logged,
-  /// marked and applied them — so no reader consumes state that is not
-  /// yet on the durable medium. `*wv_out` receives the commit version the
-  /// post-_xend unlock releases to.
-  void fast_commit_stamp(typename H::Tx& t, const StripeSet& written, TmWord* wv_out) {
-    if (written.empty()) return;
-    if (t.load(rh2_active_) != 0) {
-      for (const std::uint32_t s : written.items()) {
-        if (t.load(u_.stripes().read_mask(s)) != 0) t.abort_explicit();
-      }
-    }
-    *wv_out = u_.hw_commit_stamp(t, written.items());
   }
 
   // ---------------------------------------------------------------- slow --
@@ -277,15 +270,14 @@ class HybridTm {
   /// it only refuses to overwrite stripes carrying *foreign* readers.
   /// Escalates to the all-software slow-slow commit when hardware fails.
   /// A write stripe stamped past `rv` is first admitted by extending `rv`,
-  /// as a read of it would be (GV6 stamps the previous commit at clock+1).
+  /// as a read of it would be (GV6 stamps the previous commit at clock+1;
+  /// under GV1/GV4 the extension refuses, as the commit's check would).
   ExecPath rh2_commit(ThreadCtx& ctx, TmWord rv) {
     if (ctx.ws_.empty()) return ExecPath::kRh2Slow;  // visible reads validated at access
     StripeTable& st = u_.stripes();
-    if (!u_.clock().hw_writes_clock()) {
-      for (const std::uint32_t s : ctx.ws_.write_stripes()) {
-        const TmWord v = StripeTable::version_of(st.word(s).word.load(std::memory_order_acquire));
-        if (v > rv) detail::extend_read_version(u_, v, rv, ctx.rs_);
-      }
+    for (const std::uint32_t s : ctx.ws_.write_stripes()) {
+      const TmWord v = StripeTable::version_of(st.word(s).word.load(std::memory_order_acquire));
+      if (v > rv) detail::extend_read_version(u_, v, rv, ctx.rs_);
     }
     const HtmStatus status = write_set_commit(
         ctx, pmem::kPathRh2, [](typename H::Tx&) {},
@@ -314,34 +306,21 @@ class HybridTm {
   }
 
   /// The transaction RH1's two software-path commits share: `prologue(t)`,
-  /// a fresh commit version, then per unique write stripe `check(t, s)`
-  /// and its stamp (locked when durable: the values published at _xend
-  /// stay unreadable until hw_committed() has persisted them and unlocked
-  /// to wv), then the write-set data. Retried with backoff while it
+  /// the universe's commit point with `check(t, s)` per unique write
+  /// stripe, then the write-set data. Retried with backoff while it
   /// conflicts, at most kCommitRetries times; returns the final status.
   template <class Prologue, class Check>
   HtmStatus write_set_commit(ThreadCtx& ctx, const char* path, Prologue&& prologue,
                              Check&& check) {
-    StripeTable& st = u_.stripes();
     for (unsigned tries = 0;;) {
       TmWord wv = 0;
       const HtmOutcome out = u_.htm().execute(ctx.tx, [&](typename H::Tx& t) {
         prologue(t);
-        wv = t.load(u_.clock().cell()) + 1;
-        if (u_.clock().hw_writes_clock()) t.store(u_.clock().cell(), wv);
-        const TmWord stamped = StripeTable::commit_stamp(wv, u_.durable());
-        const auto& write_stripes = ctx.ws_.write_stripes();  // one stamp per stripe
-        for (std::size_t i = 0; i < write_stripes.size(); ++i) {
-          if (i + 1 < write_stripes.size()) {
-            st.prefetch_word(write_stripes[i + 1], /*for_write=*/true);
-          }
-          check(t, write_stripes[i]);
-          t.store(st.word(write_stripes[i]), stamped);
-        }
+        wv = u_.hw_commit_stamp(t, ctx.ws_.write_stripes(), check);
         for (const WriteEntry& e : ctx.ws_.entries()) t.store(*e.cell, e.value);
       });
       if (out.ok()) {
-        hw_committed(ctx, ctx.ws_.entries(), ctx.ws_.write_stripes(), wv, path);
+        u_.hw_committed(ctx.ws_.entries(), ctx.ws_.write_stripes(), wv, path, ctx.ring);
         return HtmStatus::kCommitted;
       }
       if (out.status == HtmStatus::kCapacity || out.status == HtmStatus::kExplicit ||
@@ -350,25 +329,6 @@ class HybridTm {
       }
       ctx.cm.backoff_commit(tries);
     }
-  }
-
-  /// Post-_xend bookkeeping shared by RH1's hardware commits (fast,
-  /// reduced, RH2). Durable: the transaction published its values and
-  /// LOCKED stripe stamps atomically at _xend; while the locks are held, no
-  /// reader — the durable fast path checks the lock bit, software reads
-  /// validate it — can consume the new state. The persist step runs log,
-  /// mark (the durability point) and apply, then the locks release to the
-  /// commit version, so marker order respects stripe-conflict
-  /// serialization. A crash anywhere in this sequence abandons only
-  /// in-memory locks (they die with the process); recovery replays or
-  /// discards from the log.
-  template <class Entries, class Stripes>
-  void hw_committed(ThreadCtx& ctx, const Entries& entries, const Stripes& stripes, TmWord wv,
-                    const char* path) {
-    u_.clock().note_hw_commit();
-    if (!u_.durable()) return;
-    u_.pmem().persist(entries, path, ctx.ring, detail::kNoop);
-    for (const std::uint32_t s : stripes) u_.stripes().unlock_to(s, wv);
   }
 
   void publish_once(ThreadCtx& ctx, std::uint32_t stripe) {

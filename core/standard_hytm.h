@@ -12,6 +12,7 @@
 // non-speculative lock fallback for liveness).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/indexed_set.h"
@@ -22,20 +23,23 @@ namespace rhtm {
 template <class H>
 class StandardHytm {
  public:
+  /// Hardware attempts before falling back to software (unbounded when
+  /// hardware_only).
+  static constexpr unsigned kMaxHwAttempts = 8;
+  /// Capacity aborts before giving up on hardware.
+  static constexpr unsigned kCapacityRetries = 2;
+
   struct Config {
     bool hardware_only = false;
     std::uint32_t inject_abort_bp = 0;
-    unsigned max_hw_attempts = 8;   ///< before falling back to software
-    unsigned capacity_retries = 2;  ///< capacity aborts before giving up on HW
   };
 
   class ThreadCtx : public detail::HwTxContext<H> {
    public:
     explicit ThreadCtx(StandardHytm& tm)
         : detail::HwTxContext<H>(
-              tm.u_, ContentionManager::Limits{
-                         0, tm.cfg_.hardware_only ? 0 : tm.cfg_.max_hw_attempts,
-                         tm.cfg_.capacity_retries}) {}
+              tm.u_, ContentionManager::Limits{0, tm.cfg_.hardware_only ? 0 : kMaxHwAttempts,
+                                               kCapacityRetries}) {}
 
    private:
     friend class StandardHytm;
@@ -81,8 +85,8 @@ class StandardHytm {
     // its write-back); the instrumented hardware handle has no redo capture
     // and the baseline's contract is not worth complicating — the durable
     // hardware commit story is HybridTm's (core/rh1.h).
-    if (!u_.durable() && (cfg_.hardware_only || cfg_.max_hw_attempts > 0) &&
-        !ctx.cm.start_in_software() &&
+    TmWord wv = 0;
+    if (!u_.durable() && !ctx.cm.start_in_software() &&
         detail::hardware_attempts(
             ctx, u_.htm(), injector_, ExecPath::kHtm,
             [&] {
@@ -93,10 +97,14 @@ class StandardHytm {
               fallback_.subscribe(t);
               HwHandle h{t, u_.stripes(), ctx.hw_written_};
               body(h);
-              if (!ctx.hw_written_.empty()) u_.hw_commit_stamp(t, ctx.hw_written_.items());
+              if (ctx.hw_written_.empty()) return;
+              wv = u_.hw_commit_stamp(t, ctx.hw_written_.items(), detail::kNoStripeCheck);
             },
             [&] {
-              if (!ctx.hw_written_.empty()) u_.clock().note_hw_commit();
+              // Never durable here, so there is nothing to persist.
+              if (ctx.hw_written_.empty()) return;
+              u_.hw_committed(std::span<const WriteEntry>{}, ctx.hw_written_.items(), wv,
+                              nullptr, ctx.ring);
             })) {
       return;
     }

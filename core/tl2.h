@@ -22,16 +22,19 @@ namespace rhtm {
 
 namespace detail {
 
-/// LSA's read-version extension (Riegel, Felber & Fetzer, DISC 2006), for
-/// a clock that hardware commits do not write (GV6): admits a stripe
-/// stamped at `stamp` > `rv` by moving `rv` forward instead of aborting.
-/// The clock is lifted to cover the stamp (a hardware commit stamps at
-/// clock+1 without storing it), the new read version sampled, and the read
-/// set revalidated against the OLD `rv` — any commit that overwrote one of
-/// those reads stamped above it. Throws kStmValidation when a read is stale.
+/// LSA's read-version extension (Riegel, Felber & Fetzer, DISC 2006): the
+/// one place the clock rule decides what a stripe stamped at `stamp` > `rv`
+/// means. Under a clock that hardware commits store (GV1/GV4) it is a
+/// conflict: throws kStmValidation. Under GV6 it admits the stamp by
+/// moving `rv` forward instead: the clock is lifted to cover the stamp (a
+/// hardware commit stamps at clock+1 without storing it), the new read
+/// version sampled, and the read set revalidated against the OLD `rv` —
+/// any commit that overwrote one of those reads stamped above it. Throws
+/// kStmValidation when a read is stale.
 template <class H>
 inline void extend_read_version(TmUniverse<H>& u, TmWord stamp, TmWord& rv, const ReadSet& rs) {
   GlobalVersionClock& clock = u.clock();
+  if (clock.hw_writes_clock()) throw StmAbort{AbortCause::kStmValidation};
   if (clock.read() < stamp) u.htm().nontx_atomic([&] { clock.lift(stamp); });
   const TmWord now = clock.read();
   if (!rs.validate(u.stripes(), rv)) throw StmAbort{AbortCause::kStmValidation};
@@ -62,7 +65,6 @@ inline TmWord stripe_validated_read(TmUniverse<H>& u, const TmCell& c, std::size
     if (StripeTable::is_locked(w1)) throw StmAbort{AbortCause::kStmLocked};
     if (w1 != w2) throw StmAbort{AbortCause::kStmValidation};
     if (StripeTable::version_of(w1) > rv) {
-      if (u.clock().hw_writes_clock()) throw StmAbort{AbortCause::kStmValidation};
       extend_read_version(u, StripeTable::version_of(w1), rv, rs);
       continue;
     }

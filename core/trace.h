@@ -377,8 +377,10 @@ inline void commit(TraceRing* r, ExecPath tier) {
 inline void cm_event(TraceRing* r, EventKind k) {
   if (r != nullptr) r->emit(k);
 }
-/// Cached-clock mode: a cross-socket publish of the global clock cell
-/// (emitted at the on_abort progress bump — the mode's only global write).
+/// Cached-clock mode: a cross-socket publish of the global clock cell,
+/// emitted at the on_abort progress bump. The read-version extension's
+/// GlobalVersionClock::lift writes the global cell too; global_publishes()
+/// counts it, but it is not traced.
 inline void clock_publish(TraceRing* r) {
   if (r != nullptr) r->emit(EventKind::kClockPublish);
 }

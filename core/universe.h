@@ -26,9 +26,8 @@ struct UniverseConfig {
   /// hardware commit stores.
   GvMode gv_mode = GvMode::kGv6;
   /// Contention management: retry/backoff/escalation policy applied by every
-  /// protocol ThreadCtx constructed over this universe (see core/contention.h;
-  /// --cm= bench flag). kFixed is bit-compatible with the historical coins
-  /// and budgets.
+  /// protocol ThreadCtx constructed over this universe (see core/contention.h).
+  /// kFixed is bit-compatible with the historical coins and budgets.
   CmConfig cm;
   /// Durability mode: every committing write-back is redo-logged, fenced and
   /// applied to the PersistentDomain's durable image (see core/pmem.h).
@@ -74,6 +73,9 @@ namespace detail {
   }
   return sc;
 }
+
+/// hw_commit_stamp()'s check for commits that vet their stripes elsewhere.
+inline constexpr auto kNoStripeCheck = [](auto&, std::uint32_t) {};
 }  // namespace detail
 
 template <class H>
@@ -104,18 +106,43 @@ class TmUniverse {
   /// The persistent domain; only valid when durable().
   [[nodiscard]] PersistentDomain& pmem() { return *pmem_; }
 
-  /// The commit point of a hardware transaction that stamps stripes: a
+  /// The commit point of every hardware transaction that stamps stripes: a
   /// fresh version read from the clock inside the transaction (so it is
   /// newer than any concurrent software reader's read-version; stored only
-  /// under GV1/GV4 — GV6 reads the clock but never writes it), then one
-  /// stamp per distinct written stripe. Returns the version.
-  template <class Tx, class Stripes>
-  TmWord hw_commit_stamp(Tx& t, const Stripes& stripes) {
+  /// under GV1/GV4 — GV6 reads the clock but never writes it), then per
+  /// distinct written stripe `check(t, s)` and its stamp. Durable stamps
+  /// carry the lock bit: the values published at _xend stay unreadable
+  /// until hw_committed() has persisted them. Returns the version.
+  template <class Tx, class Stripes, class Check>
+  TmWord hw_commit_stamp(Tx& t, const Stripes& stripes, Check&& check) {
     const TmWord wv = t.load(clock_.cell()) + 1;
     if (clock_.hw_writes_clock()) t.store(clock_.cell(), wv);
     const TmWord stamp = StripeTable::commit_stamp(wv, durable());
-    for (const std::uint32_t s : stripes) t.store(stripes_.word(s), stamp);
+    for (std::size_t i = 0; i < stripes.size(); ++i) {
+      // Stripe indices are hashed: hide the next stamp's miss behind this one.
+      if (i + 1 < stripes.size()) stripes_.prefetch_word(stripes[i + 1], /*for_write=*/true);
+      check(t, stripes[i]);
+      t.store(stripes_.word(stripes[i]), stamp);
+    }
     return wv;
+  }
+
+  /// Post-_xend step of a hw_commit_stamp() commit that published
+  /// `entries`. Durable: the transaction published its values and LOCKED
+  /// stamps atomically at _xend, and while the locks are held no reader —
+  /// the durable fast path checks the lock bit, software reads validate
+  /// it — can consume the new state. The persist step runs log, mark (the
+  /// durability point) and apply, then the locks release to `wv`, so
+  /// marker order respects stripe-conflict serialization. A crash anywhere
+  /// in this sequence abandons only in-memory locks (they die with the
+  /// process); recovery replays or discards from the log.
+  template <class Entries, class Stripes>
+  void hw_committed(const Entries& entries, const Stripes& stripes, TmWord wv, const char* path,
+                    trace::TraceRing* ring) {
+    clock_.note_hw_commit();
+    if (!durable()) return;
+    pmem_->persist(entries, path, ring, [] {});
+    for (const std::uint32_t s : stripes) stripes_.unlock_to(s, wv);
   }
 
   /// A software commit's write-back: `entries` published as one atomic
@@ -152,8 +179,6 @@ class TmUniverse {
   /// The resolved topology (config override or Topology::system()).
   [[nodiscard]] const Topology& topology() const { return *topo_; }
 
-  /// The flight recorder, or null when tracing is off.
-  [[nodiscard]] trace::Tracer* tracer() const { return cfg_.tracer; }
   /// A fresh per-thread trace ring, or null when tracing is off (or the
   /// tracer's ring budget is exhausted — callers treat both as "no trace").
   [[nodiscard]] trace::TraceRing* acquire_trace_ring() const {

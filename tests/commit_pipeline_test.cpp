@@ -6,8 +6,11 @@
 //    stripe count, not the raw read count: zipfian re-reads of a hot set
 //    stay on the RH1-slow tier instead of spuriously escalating to RH2;
 //  * the RH2 slow-slow commit honors its own published read masks through
-//    the O(1) self-mask view and leaves no mask behind.
+//    the O(1) self-mask view and leaves no mask behind;
+//  * every hardware commit path issues exactly its paper footprint of
+//    transactional loads and stores (RH1's fast reads are bare loads).
 
+#include <cstdint>
 #include <vector>
 
 #include "core/rhtm.h"
@@ -15,6 +18,67 @@
 #include "test_common.h"
 
 namespace rhtm {
+namespace {
+
+/// HtmEmul with public tallies of the transactional loads and stores it
+/// executes. Single-threaded use only: it declares itself atomic so that
+/// durable universes accept it.
+class CountingEmul {
+ public:
+  CountingEmul() = default;
+  explicit CountingEmul(const HtmConfig& cfg) : emul_(cfg) {}
+
+  class Tx {
+   public:
+    explicit Tx(CountingEmul& htm) : htm_(htm), inner_(htm.emul_) {}
+
+    TmWord load(const TmCell& c) {
+      ++htm_.loads;
+      return inner_.load(c);
+    }
+    void store(TmCell& c, TmWord v) {
+      ++htm_.stores;
+      inner_.store(c, v);
+    }
+    [[noreturn]] void abort_explicit() { inner_.abort_explicit(); }
+    void poison() { inner_.poison(); }
+
+   private:
+    friend class CountingEmul;
+    CountingEmul& htm_;
+    HtmEmul::Tx inner_;
+  };
+
+  template <class Body>
+  HtmOutcome execute(Tx& tx, Body&& body) {
+    return emul_.execute(tx.inner_, [&](HtmEmul::Tx&) { body(tx); });
+  }
+  [[nodiscard]] TmWord nontx_load(const TmCell& c) const { return emul_.nontx_load(c); }
+  void nontx_store(TmCell& c, TmWord v) { emul_.nontx_store(c, v); }
+  template <class F>
+  static auto nontx_atomic(F&& f) {
+    return f();
+  }
+  template <class Entries>
+  void nontx_publish(const Entries& entries) {
+    emul_.nontx_publish(entries);
+  }
+  [[nodiscard]] static constexpr TmWord publication_epoch() { return 0; }
+
+  std::uint64_t loads = 0;
+  std::uint64_t stores = 0;
+
+ private:
+  HtmEmul emul_;
+};
+
+}  // namespace
+
+template <>
+struct SubstrateTraits<CountingEmul> {
+  static constexpr bool kAtomic = true;
+};
+
 namespace {
 
 std::uint64_t commits_on(const TxStats& s, ExecPath p) {
@@ -153,6 +217,83 @@ void rh2_slow_slow_respects_own_masks(NumaMode numa) {
   }
 }
 
+struct Footprint {
+  std::uint64_t loads;
+  std::uint64_t stores;
+};
+
+constexpr std::uint64_t kFootReads = 5;
+constexpr std::uint64_t kFootWrites = 2;
+
+/// One transaction of kFootReads reads and kFootWrites writes, every cell
+/// in its own stripe, through `Tm` on a fresh CountingEmul universe. It must
+/// commit on `path`; returns the transactional accesses it issued.
+template <template <class> class Tm>
+Footprint hw_footprint(GvMode gv, bool durable, typename Tm<CountingEmul>::Config cfg,
+                       ExecPath path) {
+  UniverseConfig ucfg;
+  ucfg.gv_mode = gv;
+  ucfg.durable = durable;
+  ucfg.pmem.log_words = std::size_t{1} << 12;
+  TmUniverse<CountingEmul> u(ucfg);
+  Tm<CountingEmul> tm(u, cfg);
+  typename Tm<CountingEmul>::ThreadCtx ctx(tm);
+
+  constexpr std::size_t kSpacing = 64;
+  std::vector<TVar<TmWord>> cells((kFootReads + kFootWrites) * kSpacing);
+  StripeSet stripes;  // the cells' stripes must be distinct
+  for (std::size_t i = 0; i < kFootReads + kFootWrites; ++i) {
+    const std::size_t s = u.stripes().index_of(&cells[i * kSpacing].cell());
+    CHECK(stripes.insert(static_cast<std::uint32_t>(s)).fresh);
+  }
+  tm.atomically(ctx, [&](auto& tx) {
+    TmWord sum = 0;
+    for (std::size_t i = 0; i < kFootReads; ++i) sum += cells[i * kSpacing].read(tx);
+    for (std::size_t i = 0; i < kFootWrites; ++i) {
+      cells[(kFootReads + i) * kSpacing].write(tx, sum + i);
+    }
+  });
+  CHECK_EQ(ctx.stats.commits, 1u);
+  CHECK_EQ(commits_on(ctx.stats, path), 1u);
+  return {u.htm().loads, u.htm().stores};
+}
+
+/// Per-path hardware footprint of one r = 5, w = 2 transaction. Every row
+/// stores the w data words and w stamps; GV1 adds the clock store.
+void hw_footprint_per_path(GvMode gv) {
+  const std::uint64_t r = kFootReads;
+  const std::uint64_t w = kFootWrites;
+  const std::uint64_t clock_store = gv == GvMode::kGv1 ? 1 : 0;
+  const auto expect = [](Footprint got, std::uint64_t loads, std::uint64_t stores) {
+    CHECK_EQ(got.loads, loads);
+    CHECK_EQ(got.stores, stores);
+  };
+  HybridTm<CountingEmul>::Config rh1;
+  // Fast: bare reads; a stripe load per write; RH2 count and clock.
+  expect(hw_footprint<HybridTm>(gv, false, rh1, ExecPath::kRh1Fast), r + w + 2,
+         2 * w + clock_store);
+  // Durable fast: one more stripe load per read (the lock-bit check).
+  expect(hw_footprint<HybridTm>(gv, true, rh1, ExecPath::kRh1Fast), 2 * r + w + 2,
+         2 * w + clock_store);
+  // Reduced commit: R read stripes, RH2 count, clock, W write stripes.
+  HybridTm<CountingEmul>::Config slow;
+  slow.force_slow_path = true;
+  expect(hw_footprint<HybridTm>(gv, false, slow, ExecPath::kRh1Slow), r + w + 2,
+         2 * w + clock_store);
+  // RH2 commit: clock, then each write stripe's word and read mask.
+  HybridTm<CountingEmul>::Config rh2;
+  rh2.force_rh2 = true;
+  expect(hw_footprint<HybridTm>(gv, false, rh2, ExecPath::kRh2Slow), 2 * w + 1,
+         2 * w + clock_store);
+  // StandardHyTM: a stripe load per access, fallback subscription, clock.
+  StandardHytm<CountingEmul>::Config std_hw;
+  std_hw.hardware_only = true;
+  expect(hw_footprint<StandardHytm>(gv, false, std_hw, ExecPath::kHtm), 2 * r + w + 2,
+         2 * w + clock_store);
+  // Durable StandardHyTM commits in software: no hardware access at all.
+  expect(hw_footprint<StandardHytm>(gv, true, std_hw, ExecPath::kStm), 0, 0);
+}
+
 }  // namespace
 }  // namespace rhtm
 
@@ -176,5 +317,9 @@ int main() {
                [] { rhtm::rh2_slow_slow_respects_own_masks(NumaMode::kOff); }},
       TestCase{"rh2_slow_slow_respects_own_masks_numa_shard",
                [] { rhtm::rh2_slow_slow_respects_own_masks(NumaMode::kShard); }},
+      TestCase{"hw_footprint_per_path_gv6",
+               [] { rhtm::hw_footprint_per_path(rhtm::GvMode::kGv6); }},
+      TestCase{"hw_footprint_per_path_gv1",
+               [] { rhtm::hw_footprint_per_path(rhtm::GvMode::kGv1); }},
   });
 }

@@ -206,16 +206,6 @@ void adaptive_software_mode() {
   CHECK(!cm.start_in_software());
 }
 
-void policy_names_round_trip() {
-  for (const CmPolicy p : {CmPolicy::kFixed, CmPolicy::kAdaptive}) {
-    CmPolicy parsed{};
-    CHECK(parse_cm_policy(to_string(p), &parsed));
-    CHECK_EQ(static_cast<int>(parsed), static_cast<int>(p));
-  }
-  CmPolicy parsed{};
-  CHECK(!parse_cm_policy("bogus", &parsed));
-}
-
 }  // namespace
 }  // namespace rhtm
 
@@ -229,6 +219,5 @@ int main() {
       TestCase{"seeded_determinism", rhtm::seeded_determinism},
       TestCase{"per_thread_independence", rhtm::per_thread_independence},
       TestCase{"adaptive_software_mode", rhtm::adaptive_software_mode},
-      TestCase{"policy_names_round_trip", rhtm::policy_names_round_trip},
   });
 }

@@ -18,7 +18,7 @@ dtrace="$work/trace_durable.rhtrace"
 dchrome="$work/trace_durable.json"
 rm -f "$trace" "$chrome" "$work/BENCH_contention.json" "$dtrace" "$dchrome"
 
-"$bin" --scenario=contention --substrate=sim --cm=adaptive \
+"$bin" --scenario=contention --substrate=sim \
        --seconds=0.02 --threads=2 \
        --trace="$trace" --timeline=10 --json-dir="$work"
 
