@@ -61,7 +61,7 @@ enum class CmPolicy : std::uint8_t { kFixed, kAdaptive };
 /// Universe-level contention-management configuration: the policy. The
 /// adaptive engine's thresholds are ContentionManager constants; per-protocol
 /// limits (the Mixed-N coin, the hardware attempt budget, capacity retries)
-/// live in each protocol's own Config — see ContentionManager::Limits.
+/// come from each protocol — see ContentionManager::Limits.
 struct CmConfig {
   CmPolicy policy = CmPolicy::kFixed;
 };
