@@ -46,19 +46,20 @@
 //    harness forks before any append).
 //
 //  * populate on claim — a real persistent log is preallocated, so its
-//    appends never fault; this region is a fresh anonymous mapping whose
-//    pages fault in on first write. A claim faults its whole chunk in with
+//    appends never fault; this region's pages fault in on first touch
+//    (core/mapping.h). A claim faults its whole chunk in with
 //    madvise(MADV_POPULATE_WRITE): the claiming commit pays the faults,
 //    about once per 1,000 commits instead of once per 64, and no other
-//    lane waits for them. Where the advice is missing (non-Linux, kernels
-//    before 5.14) the call does nothing and pages fault on first append.
-//    MAP_POPULATE is not used: it would fault in the whole log (hundreds
-//    of MiB for a benchmark-sized log) at construction.
+//    lane waits. Where the advice is missing (non-Linux, kernels before
+//    5.14) pages fault on first append. MAP_POPULATE would fault in the
+//    whole log (hundreds of MiB for a benchmark-sized log) at construction.
 //
 //  * durable image — the simulated NVM data space: an open-addressed
 //    cell-address -> value table the apply phase writes back into (one pwb
 //    per element). In-memory TmCells are the DRAM tier; the image is what
 //    survives a crash. Recovery = replay marked log records into the image.
+//    Its slots are raw word pairs used through std::atomic_ref, as the log
+//    is, and an all-zero slot is empty, so its pages fault in as applied.
 //
 // Commit protocol (log-then-fence-then-apply), one kill point per phase:
 //
@@ -77,7 +78,7 @@
 // in software sections (post-_xend on the hardware paths), where a real
 // crash could actually observe the state.
 //
-// The region is mmap'd MAP_SHARED | MAP_ANONYMOUS: a forked child's
+// The region is one shared ZeroMapping (core/mapping.h): a forked child's
 // persists are visible to the parent, which is how tests/crash_harness.h
 // validates recovery after killing the child. Durable mode requires a
 // substrate with real commit atomicity (SubstrateTraits<H>::kAtomic):
@@ -93,17 +94,18 @@
 #include <cstring>
 #include <algorithm>
 #include <iterator>
+#include <new>
+#include <span>
 #include <utility>
 #include <vector>
 
-#if defined(_WIN32)
-#include <new>
-#else
+#if !defined(_WIN32)
 #include <sys/mman.h>
 #include <unistd.h>
 #endif
 
 #include "core/cell.h"
+#include "core/mapping.h"
 #include "core/sharded_counter.h"
 #include "core/trace.h"
 
@@ -174,14 +176,10 @@ inline void kill_point(const char* path, const char* phase) {
     return;
   }
   if (g_kill_countdown.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Flight-recorder dump before the simulated power failure: _exit skips
+    // Flight-recorder dump before the simulated power failure: _Exit skips
     // every destructor, so this hook is the trace's only way out.
     trace::anomaly(armed);
-#if defined(_WIN32)
     std::_Exit(kKillExitCode);
-#else
-    _exit(kKillExitCode);
-#endif
   }
 }
 
@@ -234,8 +232,8 @@ class PersistentDomain {
                 "the chunk cursor must not share a line with the tallies");
 
   struct ImageSlot {
-    std::atomic<std::uint64_t> addr{0};  ///< 0 = empty
-    std::atomic<TmWord> value{0};
+    std::uint64_t addr;  ///< 0 = empty
+    TmWord value;
   };
 
   /// The calling thread's append position: one lane per thread, keyed to
@@ -257,35 +255,13 @@ class PersistentDomain {
 
   explicit PersistentDomain(const PmemConfig& cfg = {})
       : cfg_(cfg),
-        bytes_(sizeof(Header) + kImageSlots * sizeof(ImageSlot) +
-               cfg.log_words * sizeof(std::uint64_t)),
-        id_(pmem::g_next_domain_id.fetch_add(1, std::memory_order_relaxed)) {
-#if defined(_WIN32)
-    base_ = ::operator new(bytes_, std::align_val_t{alignof(Header)});
-    std::memset(base_, 0, bytes_);
-#else
-    base_ = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                 MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-    if (base_ == MAP_FAILED) {
-      std::fprintf(stderr, "pmem: mmap of %zu bytes failed\n", bytes_);
-      std::abort();
-    }
-#endif
-    new (base_) Header();
-    image_ = reinterpret_cast<ImageSlot*>(static_cast<char*>(base_) + sizeof(Header));
-    for (std::size_t i = 0; i < kImageSlots; ++i) new (image_ + i) ImageSlot();
-    log_ = reinterpret_cast<std::uint64_t*>(image_ + kImageSlots);
-  }
-
-  PersistentDomain(const PersistentDomain&) = delete;
-  PersistentDomain& operator=(const PersistentDomain&) = delete;
-
-  ~PersistentDomain() {
-#if defined(_WIN32)
-    ::operator delete(base_, std::align_val_t{alignof(Header)});
-#else
-    munmap(base_, bytes_);
-#endif
+        map_(sizeof(Header) + kImageSlots * sizeof(ImageSlot) +
+                 cfg.log_words * sizeof(std::uint64_t),
+             /*shared=*/true),
+        id_(pmem::g_next_domain_id.fetch_add(1, std::memory_order_relaxed)),
+        image_(map_.at<ImageSlot>(sizeof(Header))),
+        log_(reinterpret_cast<std::uint64_t*>(image_ + kImageSlots)) {
+    new (map_.at<Header>()) Header();
   }
 
   // ------------------------------------------------------- persist fences --
@@ -399,27 +375,22 @@ class PersistentDomain {
 
   // --------------------------------------------------------------- image --
   [[nodiscard]] bool image_lookup(const void* addr, TmWord* out) const {
-    const std::uint64_t key = reinterpret_cast<std::uintptr_t>(addr);
-    const std::size_t mask = kImageSlots - 1;
-    std::size_t i = static_cast<std::size_t>(key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-    for (std::size_t probes = 0; probes < kImageSlots; ++probes) {
-      const std::uint64_t a = image_[i].addr.load(std::memory_order_acquire);
-      if (a == 0) return false;
-      if (a == key) {
-        *out = image_[i].value.load(std::memory_order_acquire);
-        return true;
-      }
-      i = (i + 1) & mask;
-    }
-    return false;
+    ImageSlot* slot = image_slot(reinterpret_cast<std::uintptr_t>(addr), /*claim=*/false);
+    if (slot != nullptr) *out = as_atomic(slot->value).load(std::memory_order_acquire);
+    return slot != nullptr;
+  }
+
+  /// The image's slots as bytes (tests count its resident pages).
+  [[nodiscard]] std::span<const std::byte> image_bytes() const {
+    return std::as_bytes(std::span<const ImageSlot>(image_, kImageSlots));
   }
 
   /// Visits every (addr, value) pair in the durable image.
   template <class Visitor>
   void for_each_image(Visitor&& visit) const {
     for (std::size_t i = 0; i < kImageSlots; ++i) {
-      const std::uint64_t a = image_[i].addr.load(std::memory_order_acquire);
-      if (a != 0) visit(a, image_[i].value.load(std::memory_order_acquire));
+      const std::uint64_t a = as_atomic(image_[i].addr).load(std::memory_order_acquire);
+      if (a != 0) visit(a, as_atomic(image_[i].value).load(std::memory_order_acquire));
     }
   }
 
@@ -456,8 +427,7 @@ class PersistentDomain {
     const std::uint64_t chunks = claimed_chunks();
     for (std::uint64_t c = 0; c < chunks;) {
       const std::uint64_t start = c * kPopulateChunkWords;
-      const std::uint64_t word =
-          std::atomic_ref<std::uint64_t>(log_[start]).load(std::memory_order_acquire);
+      const std::uint64_t word = as_atomic(log_[start]).load(std::memory_order_acquire);
       const std::uint64_t end =
           std::min<std::uint64_t>(start + (word & kUsedMask), cfg_.log_words);
       std::uint64_t pos = start + 1;
@@ -532,8 +502,13 @@ class PersistentDomain {
   }
 
  private:
-  [[nodiscard]] Header& header() { return *static_cast<Header*>(base_); }
-  [[nodiscard]] const Header& header() const { return *static_cast<const Header*>(base_); }
+  [[nodiscard]] Header& header() { return *map_.at<Header>(); }
+  [[nodiscard]] const Header& header() const { return *map_.at<const Header>(); }
+
+  /// A log or image word, accessed atomically in place.
+  static std::atomic_ref<std::uint64_t> as_atomic(std::uint64_t& w) {
+    return std::atomic_ref<std::uint64_t>(w);
+  }
 
   static Lane& lane() {
     static thread_local Lane l;
@@ -564,7 +539,7 @@ class PersistentDomain {
   /// store of the span's header word, after which recovery sees them.
   void lane_publish(Lane& l, std::uint64_t words) {
     l.used += words;
-    std::atomic_ref<std::uint64_t>(log_[l.start]).store(l.span | l.used, std::memory_order_release);
+    as_atomic(log_[l.start]).store(l.span | l.used, std::memory_order_release);
   }
 
   /// Claims the chunks for one `words`-word append plus the header word
@@ -589,7 +564,7 @@ class PersistentDomain {
     (void)madvise(reinterpret_cast<void*>(begin), end - begin, MADV_POPULATE_WRITE);
 #endif
     l = {id_, start, 1, stop - start, chunks << kSpanShift};
-    std::atomic_ref<std::uint64_t>(log_[start]).store(l.span | 1, std::memory_order_relaxed);
+    as_atomic(log_[start]).store(l.span | 1, std::memory_order_relaxed);
     // The crash model is process death, which loses no store already
     // made: the span must be written before any record word of the span,
     // so recovery never reads a later chunk of it as a chunk header.
@@ -597,34 +572,35 @@ class PersistentDomain {
     return true;
   }
 
-  void image_store(std::uint64_t key, TmWord value) {
+  /// The slot holding `key` on its linear-probe path; when `claim`, the
+  /// first empty slot on it is claimed for `key`. Null when absent.
+  [[nodiscard]] ImageSlot* image_slot(std::uint64_t key, bool claim) const {
     const std::size_t mask = kImageSlots - 1;
     std::size_t i = static_cast<std::size_t>(key * 0x9e3779b97f4a7c15ull >> 32) & mask;
-    for (std::size_t probes = 0; probes < kImageSlots; ++probes) {
-      std::uint64_t a = image_[i].addr.load(std::memory_order_acquire);
-      if (a == key) {
-        image_[i].value.store(value, std::memory_order_release);
-        return;
+    for (std::size_t probes = 0; probes < kImageSlots; ++probes, i = (i + 1) & mask) {
+      std::uint64_t a = as_atomic(image_[i].addr).load(std::memory_order_acquire);
+      if (a == 0) {
+        if (!claim) return nullptr;
+        (void)as_atomic(image_[i].addr).compare_exchange_strong(a, key, std::memory_order_acq_rel);
+        if (a == 0) a = key;  // claimed it; on failure `a` is the winner's key
       }
-      if (a == 0 &&
-          image_[i].addr.compare_exchange_strong(a, key, std::memory_order_acq_rel)) {
-        image_[i].value.store(value, std::memory_order_release);
-        return;
-      }
-      if (a == key) {  // lost the CAS to ourselves-by-key: another thread claimed it
-        image_[i].value.store(value, std::memory_order_release);
-        return;
-      }
-      i = (i + 1) & mask;
+      if (a == key) return &image_[i];
     }
-    std::fprintf(stderr, "pmem: durable image full (%zu slots)\n", kImageSlots);
-    std::abort();
+    return nullptr;
+  }
+
+  void image_store(std::uint64_t key, TmWord value) {
+    ImageSlot* slot = image_slot(key, /*claim=*/true);
+    if (slot == nullptr) {
+      std::fprintf(stderr, "pmem: durable image full (%zu slots)\n", kImageSlots);
+      std::abort();
+    }
+    as_atomic(slot->value).store(value, std::memory_order_release);
   }
 
   PmemConfig cfg_;
-  std::size_t bytes_;
+  ZeroMapping map_;   ///< header, then image, then log
   std::uint64_t id_;  ///< keys the per-thread lanes (pmem::g_next_domain_id)
-  void* base_;
   ImageSlot* image_;
   std::uint64_t* log_;
 };

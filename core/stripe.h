@@ -5,24 +5,25 @@
 // fewer stripes / coarser granules alias more addresses onto one word and
 // manufacture false conflicts (ablation A2).
 //
-// NUMA sharding (UniverseConfig::numa != off): the flat array becomes a
-// façade over per-socket shards. The global stripe index i is unchanged —
-// index_of hashes exactly as before — but its storage decomposes as
-// (shard = i >> per_shard_log2, local = i & per_shard_mask), i.e. the shard
-// id lives in the HIGH bits. That makes plain integer order on i identical
-// to lexicographic (shard, local) order, so the TL2 sorted lock-acquire is
-// already in canonical (shard, index) order and cross-shard commits stay
-// livelock-free with zero changes to the commit loops. Shard s's cells are
-// first-touch allocated on socket s % socket_count (the topology rule), so
-// with scatter pinning thread t's home shard is socket-local. shards == 1
-// is bit-identical to the historical flat table.
+// Both arrays are halves of one zero-filled mapping (core/mapping.h) whose
+// pages fault in on first touch; only RH2 touches the masks. NUMA shards
+// (UniverseConfig::numa != off) are index ranges of it: shard = i >>
+// per_shard_log2, the HIGH bits, so integer order on i is (shard, local)
+// order and the TL2 sorted lock-acquire stays canonical across shards.
+// Shard s's slices are first touched at construction by a thread pinned to
+// socket s % socket_count (the topology rule) — the one eager placement —
+// so with scatter pinning thread t's home shard is socket-local.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "core/cell.h"
+#include "core/mapping.h"
 #include "core/topology.h"
 
 namespace rhtm {
@@ -46,13 +47,16 @@ struct StripeConfig {
   unsigned granularity_log2 = 5;  ///< 32-byte granules: 4 words share a stripe
   MaskRmw mask_rmw = MaskRmw::kFetchAdd;
   /// Socket shard count (UniverseConfig::numa derives it from the topology;
-  /// rounded up to a power of two, capped at the stripe count). 1 = the
-  /// flat pre-NUMA layout.
+  /// rounded up to a power of two, capped at the stripe count).
   unsigned shards = 1;
-  /// First-touch geometry: shard s is allocated on socket s % socket_count
+  /// First-touch geometry: shard s is placed on socket s % socket_count
   /// of this topology. Null (or single-socket) skips the pinned first touch.
   const Topology* topology = nullptr;
 };
+
+// Zero-filled pages are TmCells here, as the log's are words: one lock-free word each.
+static_assert(sizeof(TmCell) == sizeof(TmWord));
+static_assert(std::atomic<TmWord>::is_always_lock_free);
 
 /// Versioned-lock word layout: bit 0 = locked, bits 63..1 = version.
 class StripeTable {
@@ -61,44 +65,35 @@ class StripeTable {
 
   StripeTable() : StripeTable(StripeConfig{}) {}
   explicit StripeTable(const StripeConfig& cfg)
-      : cfg_(cfg), mask_(((std::size_t{1}) << cfg.log2_count) - 1) {
-    unsigned shard_log2 = 0;
-    while ((1u << shard_log2) < (cfg.shards == 0 ? 1u : cfg.shards) &&
-           shard_log2 < cfg.log2_count) {
-      ++shard_log2;
-    }
-    per_shard_log2_ = cfg.log2_count - shard_log2;
-    per_shard_mask_ = ((std::size_t{1}) << per_shard_log2_) - 1;
-    shards_ = std::vector<Shard>(std::size_t{1} << shard_log2);
-    const std::size_t per_shard = std::size_t{1} << per_shard_log2_;
+      : cfg_(cfg),
+        mask_(((std::size_t{1}) << cfg.log2_count) - 1),
+        per_shard_log2_(cfg.log2_count -
+                        std::min<unsigned>(cfg.log2_count,
+                                           std::bit_width(std::max(cfg.shards, 1u) - 1))),
+        map_(2 * count() * sizeof(TmCell), /*shared=*/false),
+        words_(map_.at<TmCell>()),
+        masks_(words_ + count()) {
     const Topology* topo = cfg.topology;
-    if (shards_.size() > 1 && topo != nullptr && topo->socket_count() > 1) {
-      // First touch: build each shard's arrays from a thread pinned to the
-      // shard's home socket, so the pages land in that socket's memory.
+    if (shard_count() > 1 && topo != nullptr && topo->socket_count() > 1) {
+      const std::size_t per_shard = std::size_t{1} << per_shard_log2_;
       std::vector<std::thread> builders;
-      builders.reserve(shards_.size());
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
+      for (unsigned s = 0; s < shard_count(); ++s) {
         builders.emplace_back([this, s, per_shard, topo] {
-          const auto& cpus =
-              topo->cpus_of_socket(static_cast<unsigned>(s) % topo->socket_count());
+          const auto& cpus = topo->cpus_of_socket(home_socket_of_shard(s));
           if (!cpus.empty()) (void)pin_this_thread_to_cpu(cpus[0]);
-          shards_[s].words = std::vector<TmCell>(per_shard);
-          shards_[s].read_masks = std::vector<TmCell>(per_shard);
+          for (TmCell* half : {words_, masks_}) {
+            std::memset(static_cast<void*>(half + s * per_shard), 0, per_shard * sizeof(TmCell));
+          }
         });
       }
       for (auto& b : builders) b.join();
-    } else {
-      for (auto& s : shards_) {
-        s.words = std::vector<TmCell>(per_shard);
-        s.read_masks = std::vector<TmCell>(per_shard);
-      }
     }
   }
 
   [[nodiscard]] std::size_t count() const { return mask_ + 1; }
   [[nodiscard]] const StripeConfig& config() const { return cfg_; }
   [[nodiscard]] unsigned shard_count() const {
-    return static_cast<unsigned>(shards_.size());
+    return 1u << (cfg_.log2_count - per_shard_log2_);
   }
   /// The shard a global stripe index routes to (high bits of i).
   [[nodiscard]] unsigned shard_of(std::size_t i) const {
@@ -117,12 +112,8 @@ class StripeTable {
     return (static_cast<std::uint64_t>(granule) * 0x9e3779b97f4a7c15ull >> 32) & mask_;
   }
 
-  [[nodiscard]] TmCell& word(std::size_t i) {
-    return shards_[i >> per_shard_log2_].words[i & per_shard_mask_];
-  }
-  [[nodiscard]] TmCell& read_mask(std::size_t i) {
-    return shards_[i >> per_shard_log2_].read_masks[i & per_shard_mask_];
-  }
+  [[nodiscard]] TmCell& word(std::size_t i) { return words_[i]; }
+  [[nodiscard]] TmCell& read_mask(std::size_t i) { return masks_[i]; }
 
   /// Software prefetch of a stripe's version word. The commit loops walk
   /// exact-deduped stripe lists whose words are scattered across the table
@@ -132,12 +123,7 @@ class StripeTable {
   /// check/stamp. `for_write` hints exclusive ownership (stamp loops).
   void prefetch_word(std::size_t i, bool for_write = false) const {
 #if (defined(__GNUC__) || defined(__clang__)) && !defined(RHTM_NO_PREFETCH)
-    const TmCell* cell = &shards_[i >> per_shard_log2_].words[i & per_shard_mask_];
-    if (for_write) {
-      __builtin_prefetch(static_cast<const void*>(cell), 1, 3);
-    } else {
-      __builtin_prefetch(static_cast<const void*>(cell), 0, 3);
-    }
+    for_write ? __builtin_prefetch(words_ + i, 1, 3) : __builtin_prefetch(words_ + i, 0, 3);
 #else
     (void)i;
     (void)for_write;
@@ -171,45 +157,30 @@ class StripeTable {
   }
 
   /// RH2 visible-read publication: per-stripe reader counter.
-  void publish_read(std::size_t i) {
-    auto& m = read_mask(i).word;
-    if (cfg_.mask_rmw == MaskRmw::kFetchAdd) {
-      m.fetch_add(1, std::memory_order_acq_rel);
-    } else {
-      TmWord cur = m.load(std::memory_order_acquire);
-      while (!m.compare_exchange_weak(cur, cur + 1, std::memory_order_acq_rel)) {
-      }
-    }
-  }
-  void unpublish_read(std::size_t i) {
-    auto& m = read_mask(i).word;
-    if (cfg_.mask_rmw == MaskRmw::kFetchAdd) {
-      m.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      TmWord cur = m.load(std::memory_order_acquire);
-      while (!m.compare_exchange_weak(cur, cur - 1, std::memory_order_acq_rel)) {
-      }
-    }
-  }
+  void publish_read(std::size_t i) { add_readers(i, 1); }
+  void unpublish_read(std::size_t i) { add_readers(i, ~TmWord{0}); }  // adds -1
   [[nodiscard]] TmWord readers(std::size_t i) const {
-    return shards_[i >> per_shard_log2_].read_masks[i & per_shard_mask_].word.load(
-        std::memory_order_acquire);
+    return masks_[i].word.load(std::memory_order_acquire);
   }
 
  private:
-  /// One socket's slice of the table. alignas keeps shard headers off each
-  /// other's cache lines; the cell arrays themselves are separate (ideally
-  /// socket-local) heap allocations.
-  struct alignas(kCacheLineBytes) Shard {
-    std::vector<TmCell> words;
-    std::vector<TmCell> read_masks;
-  };
+  void add_readers(std::size_t i, TmWord delta) {
+    auto& m = masks_[i].word;
+    if (cfg_.mask_rmw == MaskRmw::kFetchAdd) {
+      m.fetch_add(delta, std::memory_order_acq_rel);
+    } else {
+      TmWord cur = m.load(std::memory_order_acquire);
+      while (!m.compare_exchange_weak(cur, cur + delta, std::memory_order_acq_rel)) {
+      }
+    }
+  }
 
   StripeConfig cfg_;
   std::size_t mask_;
-  unsigned per_shard_log2_ = 0;
-  std::size_t per_shard_mask_ = 0;
-  std::vector<Shard> shards_;
+  unsigned per_shard_log2_;
+  ZeroMapping map_;
+  TmCell* words_;  ///< count() version words: the mapping's first half
+  TmCell* masks_;  ///< count() RH2 read masks: its second half
 };
 
 }  // namespace rhtm
