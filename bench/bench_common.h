@@ -53,7 +53,6 @@ struct Options {
   std::vector<unsigned> threads = {1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20};
   SubstrateKind substrate = SubstrateKind::kEmul;
   PinMode pin = PinMode::kNone;
-  NumaMode numa = NumaMode::kOff;
   bool full = false;
 
   // Registry-driver flags (bench/run_all.cpp).
@@ -74,7 +73,6 @@ struct Options {
     std::fprintf(out,
                  "usage: %s [--seconds=S] [--threads=a,b,c] [--substrate=emul|sim|rtm]\n"
                  "          [--pin=none|compact|scatter]\n"
-                 "          [--numa=off|shard|shard+clock]\n"
                  "          [--full] [--list] [--scenario=a,b] [--json-dir=DIR] [--no-json]\n"
                  "          [--trace=FILE[:CAP]] [--timeline=MS]\n"
                  "\n"
@@ -84,11 +82,12 @@ struct Options {
                  "                       HTM substrate (plain-access emulation | simulator |\n"
                  "                       real Intel RTM; rtm needs an -mrtm build + TSX host)\n"
                  "  --pin=none|compact|scatter\n"
-                 "                       worker-thread affinity (compact fills adjacent CPUs,\n"
-                 "                       scatter alternates across the CPU id halves)\n"
-                 "  --numa=off|shard|shard+clock\n"
-                 "                       NUMA geometry (core/topology.h): socket-sharded\n"
-                 "                       stripe tables, +clock adds per-socket clock caches\n"
+                 "                       worker-thread affinity by the sysfs socket topology:\n"
+                 "                       compact fills one socket's CPUs before the next,\n"
+                 "                       scatter deals threads round-robin across sockets\n"
+                 "                       (on one socket both pin thread t to its t-th CPU);\n"
+                 "                       without a discovered topology scatter alternates\n"
+                 "                       across the CPU id halves\n"
                  "  --full               paper-scale sizes and 1 s points\n"
                  "  --list               list registered scenarios and exit\n"
                  "  --scenario=a,b       run only scenarios whose name contains a token\n"
@@ -150,10 +149,6 @@ struct Options {
         if (!parse_pin_mode(arg.c_str() + 6, &opt.pin)) {
           die("unknown pin mode in", arg);
         }
-      } else if (arg.rfind("--numa=", 0) == 0) {
-        if (!parse_numa_mode(arg.c_str() + 7, &opt.numa)) {
-          die("unknown numa mode in", arg);
-        }
       } else if (arg == "--full") {
         opt.full = true;
         opt.seconds = 1.0;
@@ -208,16 +203,14 @@ struct Options {
   }
 
   [[nodiscard]] const char* substrate_name() const { return to_string(substrate); }
-  [[nodiscard]] const char* numa_name() const { return to_string(numa); }
 };
 
-/// UniverseConfig seeded from the global bench options (the run's tracer
-/// and NUMA mode). Scenarios override further fields on the returned
-/// config before constructing their universe.
+/// UniverseConfig seeded from the global bench options (the run's
+/// tracer). Scenarios override further fields on the returned config
+/// before constructing their universe.
 [[nodiscard]] inline UniverseConfig universe_config(const Options& opt) {
   UniverseConfig cfg;
   cfg.tracer = opt.tracer;
-  cfg.numa = opt.numa;
   return cfg;
 }
 

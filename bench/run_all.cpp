@@ -115,7 +115,6 @@ int registry_main(int argc, char** argv) {
     rep.seconds = opt.seconds;
     stamp_provenance(rep);                    // what built/ran this (artifact diffs)
     rep.set_meta("pin", to_string(opt.pin));  // affinity is part of a run's geometry
-    rep.set_meta("numa", opt.numa_name());    // so is the NUMA sharding mode
     if (opt.substrate == SubstrateKind::kRtm) {
       // Whether the PMU counters in this report are hardware-measured, or
       // absent and why (so a diff never mistakes "unavailable" for "zero").

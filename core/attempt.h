@@ -135,7 +135,6 @@ inline void software_attempts(TxContext& ctx, ExecPath path, Aborted&& aborted,
     }
     if (committed == kRetryOnNewPath) continue;
     record_commit(ctx, committed);
-    ctx.cm.on_software_commit();
     return;
   }
 }
@@ -197,7 +196,6 @@ inline void run_under_lock(TxContext& ctx, FallbackLock& lock, H& htm, Body& bod
   body(h);
   lock.release();
   record_commit(ctx, ExecPath::kHtm);
-  ctx.cm.on_software_commit();
 }
 
 }  // namespace detail

@@ -158,7 +158,10 @@ class ContentionManager {
   }
 
   /// A hardware transaction committed: the streak breaks, the abort
-  /// density decays, and software mode (if any) ends.
+  /// density decays, and software mode (if any) ends. Only a hardware
+  /// commit does this: only hardware succeeding is evidence that hardware
+  /// works, so a software commit reports nothing here and adaptive software
+  /// mode persists until a probe commits in hardware.
   void on_hardware_commit() {
     if (cfg_.policy == CmPolicy::kAdaptive && streak_ >= kSwStreak) {
       trace::cm_event(trace_, trace::EventKind::kSwModeExit);
@@ -167,11 +170,6 @@ class ContentionManager {
     since_probe_ = 0;
     ewma_bp_ -= ewma_bp_ >> kEwmaShift;
   }
-
-  /// A software-path commit. Deliberately does NOT reset the failure
-  /// streak: only hardware succeeding is evidence that hardware works, so
-  /// adaptive software mode persists until a probe commits in hardware.
-  void on_software_commit() {}
 
   /// Entry to a software execution (detail::software_attempts): resets the
   /// software backoff step, mirroring the historical per-call counter.

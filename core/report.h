@@ -97,13 +97,8 @@ struct Metric {
 };
 
 /// One measured point of one series: an x-axis value plus its metrics.
-/// `socket` is the per-socket sweep geometry (the NUMA scenario's
-/// socket-sliced thread sweeps): -1 (the default) means "not a per-socket
-/// point" and emits no JSON field at all, keeping the schema
-/// byte-compatible for every other scenario.
 struct Point {
   double x = 0;
-  int socket = -1;
   std::vector<Metric> metrics;
 
   Point& set(std::string name, double value) {
@@ -374,10 +369,6 @@ struct BenchReport {
           out += p == 0 ? "\n" : ",\n";
           out += "          { \"x\": ";
           json_number(out, point.x);
-          if (point.socket >= 0) {
-            out += ", \"socket\": ";
-            json_number(out, point.socket);
-          }
           out += ", \"metrics\": {";
           for (std::size_t m = 0; m < point.metrics.size(); ++m) {
             out += m == 0 ? " " : ", ";

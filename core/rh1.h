@@ -190,7 +190,7 @@ class HybridTm {
   template <class Body>
   void run_slow(ThreadCtx& ctx, Body& body, bool rh2) {
     const ExecPath first = rh2 ? ExecPath::kRh2Slow : ExecPath::kRh1Slow;
-    const auto aborted = [&] { u_.clock_on_abort(ctx.ring); };
+    const auto aborted = [&] { u_.clock_on_abort(); };
     detail::software_attempts(ctx, first, aborted, [&](ExecPath& path) {
       ctx.rs_.clear();
       ctx.ws_.clear();

@@ -6,25 +6,13 @@
 // manufacture false conflicts (ablation A2).
 //
 // Both arrays are halves of one zero-filled mapping (core/mapping.h) whose
-// pages fault in on first touch; only RH2 touches the masks. NUMA shards
-// (UniverseConfig::numa != off) are index ranges of it: shard = i >>
-// per_shard_log2, the HIGH bits, so integer order on i is (shard, local)
-// order and the TL2 sorted lock-acquire stays canonical across shards.
-// Shard s's slices are first touched at construction by a thread pinned to
-// socket s % socket_count (the topology rule) — the one eager placement —
-// so with scatter pinning thread t's home shard is socket-local.
+// pages fault in on first touch; only RH2 touches the masks.
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <thread>
-#include <vector>
 
 #include "core/cell.h"
 #include "core/mapping.h"
-#include "core/topology.h"
 
 namespace rhtm {
 
@@ -46,12 +34,6 @@ struct StripeConfig {
   unsigned log2_count = 16;       ///< 2^16 stripes = 512 KiB of version words
   unsigned granularity_log2 = 5;  ///< 32-byte granules: 4 words share a stripe
   MaskRmw mask_rmw = MaskRmw::kFetchAdd;
-  /// Socket shard count (UniverseConfig::numa derives it from the topology;
-  /// rounded up to a power of two, capped at the stripe count).
-  unsigned shards = 1;
-  /// First-touch geometry: shard s is placed on socket s % socket_count
-  /// of this topology. Null (or single-socket) skips the pinned first touch.
-  const Topology* topology = nullptr;
 };
 
 // Zero-filled pages are TmCells here, as the log's are words: one lock-free word each.
@@ -67,43 +49,12 @@ class StripeTable {
   explicit StripeTable(const StripeConfig& cfg)
       : cfg_(cfg),
         mask_(((std::size_t{1}) << cfg.log2_count) - 1),
-        per_shard_log2_(cfg.log2_count -
-                        std::min<unsigned>(cfg.log2_count,
-                                           std::bit_width(std::max(cfg.shards, 1u) - 1))),
         map_(2 * count() * sizeof(TmCell), /*shared=*/false),
         words_(map_.at<TmCell>()),
-        masks_(words_ + count()) {
-    const Topology* topo = cfg.topology;
-    if (shard_count() > 1 && topo != nullptr && topo->socket_count() > 1) {
-      const std::size_t per_shard = std::size_t{1} << per_shard_log2_;
-      std::vector<std::thread> builders;
-      for (unsigned s = 0; s < shard_count(); ++s) {
-        builders.emplace_back([this, s, per_shard, topo] {
-          const auto& cpus = topo->cpus_of_socket(home_socket_of_shard(s));
-          if (!cpus.empty()) (void)pin_this_thread_to_cpu(cpus[0]);
-          for (TmCell* half : {words_, masks_}) {
-            std::memset(static_cast<void*>(half + s * per_shard), 0, per_shard * sizeof(TmCell));
-          }
-        });
-      }
-      for (auto& b : builders) b.join();
-    }
-  }
+        masks_(words_ + count()) {}
 
   [[nodiscard]] std::size_t count() const { return mask_ + 1; }
   [[nodiscard]] const StripeConfig& config() const { return cfg_; }
-  [[nodiscard]] unsigned shard_count() const {
-    return 1u << (cfg_.log2_count - per_shard_log2_);
-  }
-  /// The shard a global stripe index routes to (high bits of i).
-  [[nodiscard]] unsigned shard_of(std::size_t i) const {
-    return static_cast<unsigned>(i >> per_shard_log2_);
-  }
-  /// The socket shard s is first-touched on (the topology home rule).
-  [[nodiscard]] unsigned home_socket_of_shard(unsigned s) const {
-    const unsigned n = cfg_.topology != nullptr ? cfg_.topology->socket_count() : 1;
-    return s % (n == 0 ? 1 : n);
-  }
 
   /// Address -> stripe index. Granule-aligned addresses are multiplied by a
   /// golden-ratio constant so nearby granules spread across the table.
@@ -141,8 +92,7 @@ class StripeTable {
   }
 
   /// Software commit locking (TL2 / slow-slow path). Callers acquire in
-  /// ascending global-index order, which is (shard, local) order by
-  /// construction — the canonical cross-shard lock order.
+  /// ascending index order, the canonical lock order.
   bool try_lock(std::size_t i) {
     auto& cell = word(i).word;
     TmWord w = cell.load(std::memory_order_acquire);
@@ -177,7 +127,6 @@ class StripeTable {
 
   StripeConfig cfg_;
   std::size_t mask_;
-  unsigned per_shard_log2_;
   ZeroMapping map_;
   TmCell* words_;  ///< count() version words: the mapping's first half
   TmCell* masks_;  ///< count() RH2 read masks: its second half

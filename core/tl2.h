@@ -157,7 +157,6 @@ inline void tl2_software_commit(TmUniverse<H>& u, ReadSet& rs, WriteSet& ws, TmW
   // funnels through here too — same path, same kill points.
   u.publish_writes(ws.entries(), pmem::kPathTl2, ring);
   for (const std::uint32_t s : locked) st.unlock_to(s, wv);
-  u.clock().publish_home();  // cached-clock lazy propagation; no-op otherwise
 }
 
 /// Full TL2 transaction: software attempts until the body runs and
@@ -167,7 +166,7 @@ inline void tl2_software_commit(TmUniverse<H>& u, ReadSet& rs, WriteSet& ws, TmW
 template <class H, class Body>
 inline void tl2_run(TmUniverse<H>& u, TxContext& ctx, ReadSet& rs, WriteSet& ws,
                     std::vector<std::uint32_t>& lock_scratch, Body& body) {
-  const auto aborted = [&] { u.clock_on_abort(ctx.ring); };
+  const auto aborted = [&] { u.clock_on_abort(); };
   software_attempts(ctx, ExecPath::kStm, aborted, [&](ExecPath&) {
     rs.clear();
     ws.clear();

@@ -1,72 +1,31 @@
 #pragma once
 
-// NUMA topology discovery — the geometry layer the socket-sharded universe
-// (core/stripe.h shards, core/clock.h socket caches) and the --pin affinity
-// policies (workloads/driver.h) share, so pinning and sharding always agree
-// on which CPU belongs to which socket.
+// Socket topology discovery for the --pin affinity policies
+// (workloads/driver.h): which CPU belongs to which socket.
 //
 // Discovery reads the Linux sysfs node directory
 // (/sys/devices/system/node/node<N>/cpulist, "0-9,20-29" range syntax).
 // Where that fails — non-Linux, containers that hide sysfs, single-node
 // boxes with no node dirs — it falls back to ONE socket spanning every CPU
-// (`discovered() == false`), which reproduces the pre-NUMA flat behaviour
-// exactly. Tests inject fake topologies (Topology::fake / from_sysfs over a
-// scratch directory) so every multi-socket code path is exercisable on a
-// single-socket CI runner.
+// (`discovered() == false`). Tests inject fake topologies (Topology::fake /
+// from_sysfs over a scratch directory) so the multi-socket placement rules
+// are exercisable on a single-socket CI runner.
 //
-// Geometry conventions (the single source of truth):
-//  * compact placement: sockets are filled one at a time, each socket's
-//    CPUs in sysfs order (compact_cpu(t) = t-th CPU of that concatenation);
-//  * scatter placement: threads round-robin ACROSS sockets first
-//    (scatter_cpu(t) lands on socket t % socket_count), so thread t and the
-//    stripe shard t % shard_count share a home socket;
-//  * shard s of a sharded stripe table is first-touched on socket
-//    s % socket_count (core/stripe.h follows this rule).
+// Placement rules:
+//  * compact: sockets are filled one at a time, each socket's CPUs in sysfs
+//    order (compact_cpu(t) = t-th CPU of that concatenation);
+//  * scatter: threads round-robin ACROSS sockets first (scatter_cpu(t)
+//    lands on socket t % socket_count). On one socket it equals compact.
 
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
-#include <thread>
-
 namespace rhtm {
-
-// -------------------------------------------------------------- numa mode --
-
-/// The NUMA axis of UniverseConfig (--numa bench flag):
-///  * off         — flat stripe table + plain clock: bit-identical to the
-///                  pre-NUMA universe (the replay tests pin this).
-///  * shard       — stripe table sharded per socket, first-touch allocated.
-///  * shard+clock — sharding plus the per-socket cached version clock.
-enum class NumaMode : int { kOff = 0, kShard, kShardClock };
-
-[[nodiscard]] inline const char* to_string(NumaMode m) {
-  switch (m) {
-    case NumaMode::kOff: return "off";
-    case NumaMode::kShard: return "shard";
-    case NumaMode::kShardClock: return "shard+clock";
-  }
-  return "?";
-}
-
-/// Parses a canonical numa-mode name. Returns false on an unknown name.
-[[nodiscard]] inline bool parse_numa_mode(const char* name, NumaMode* out) {
-  for (const NumaMode m : {NumaMode::kOff, NumaMode::kShard, NumaMode::kShardClock}) {
-    if (std::strcmp(name, to_string(m)) == 0) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
 
 // ---------------------------------------------------------- cpulist parse --
 
@@ -177,15 +136,6 @@ class Topology {
   [[nodiscard]] unsigned cpu_count() const {
     return static_cast<unsigned>(compact_order_.size());
   }
-  [[nodiscard]] const std::vector<unsigned>& cpus_of_socket(unsigned s) const {
-    return sockets_[s % sockets_.size()];
-  }
-
-  /// The socket owning `cpu`, or -1 for a CPU the topology does not cover.
-  [[nodiscard]] int socket_of_cpu(unsigned cpu) const {
-    if (cpu >= socket_of_cpu_.size()) return -1;
-    return socket_of_cpu_[cpu];
-  }
 
   /// Compact placement: fill each socket's CPUs before moving to the next.
   [[nodiscard]] unsigned compact_cpu(unsigned tid) const {
@@ -193,8 +143,8 @@ class Topology {
   }
 
   /// Scatter placement: round-robin across sockets first — thread t lands
-  /// on socket t % socket_count (the shard home-socket rule), walking that
-  /// socket's CPUs in order as tids wrap around.
+  /// on socket t % socket_count, walking that socket's CPUs in order as
+  /// tids wrap around.
   [[nodiscard]] unsigned scatter_cpu(unsigned tid) const {
     const unsigned s = tid % socket_count();
     const std::vector<unsigned>& cpus = sockets_[s];
@@ -206,79 +156,14 @@ class Topology {
 
   void finalize() {
     compact_order_.clear();
-    unsigned max_cpu = 0;
     for (const auto& s : sockets_) {
-      for (const unsigned c : s) {
-        compact_order_.push_back(c);
-        max_cpu = c > max_cpu ? c : max_cpu;
-      }
-    }
-    socket_of_cpu_.assign(static_cast<std::size_t>(max_cpu) + 1, -1);
-    for (std::size_t s = 0; s < sockets_.size(); ++s) {
-      for (const unsigned c : sockets_[s]) socket_of_cpu_[c] = static_cast<int>(s);
+      compact_order_.insert(compact_order_.end(), s.begin(), s.end());
     }
   }
 
   std::vector<std::vector<unsigned>> sockets_;
-  std::vector<int> socket_of_cpu_;
   std::vector<unsigned> compact_order_;
   bool discovered_ = false;
 };
-
-// --------------------------------------------------------- thread helpers --
-
-/// Best-effort pin of the calling thread to one absolute CPU id (the
-/// first-touch builder in core/stripe.h and the per-socket sweeps use it).
-/// Returns false where unsupported or when the syscall fails.
-inline bool pin_this_thread_to_cpu(unsigned cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
-namespace detail_topology {
-/// Test hook: forces current_socket_of_thread to a fixed socket on this
-/// thread (-1 = disabled). Lets single-socket CI exercise the per-socket
-/// clock caches deterministically.
-inline int& thread_socket_override() {
-  thread_local int s = -1;
-  return s;
-}
-}  // namespace detail_topology
-
-inline void set_thread_socket_override(int socket) {
-  detail_topology::thread_socket_override() = socket;
-}
-
-/// The socket the calling thread currently runs on, resolved once per
-/// (thread, topology) — measurement threads are pinned before their first
-/// transaction, so one resolution is exact; for unpinned threads a stale
-/// answer only means publishing to a non-home cache, which the cached
-/// clock's monotonic-replica invariant keeps safe (core/clock.h).
-[[nodiscard]] inline unsigned current_socket_of_thread(const Topology& topo) {
-  const int forced = detail_topology::thread_socket_override();
-  if (forced >= 0) return static_cast<unsigned>(forced) % topo.socket_count();
-  if (topo.socket_count() <= 1) return 0;
-  thread_local const Topology* resolved_for = nullptr;
-  thread_local unsigned resolved = 0;
-  if (resolved_for == &topo) return resolved;
-  unsigned s = 0;
-#if defined(__linux__)
-  const int cpu = sched_getcpu();
-  if (cpu >= 0) {
-    const int so = topo.socket_of_cpu(static_cast<unsigned>(cpu));
-    if (so >= 0) s = static_cast<unsigned>(so);
-  }
-#endif
-  resolved_for = &topo;
-  resolved = s;
-  return s;
-}
 
 }  // namespace rhtm

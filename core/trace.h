@@ -69,7 +69,6 @@ enum class EventKind : std::uint8_t {
   kDurLog,        ///< durable commit phase 1 done (arg = cycles in phase)
   kDurMark,       ///< durable commit phase 2 done — the durability point
   kDurApply,      ///< durable commit phase 3 done
-  kClockPublish,  ///< cached clock: one cross-socket write of the global cell
 };
 
 /// Snake-case event names: the tests' and scripts/trace_summary.py's vocabulary.
@@ -87,7 +86,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::kDurLog: return "dur_log";
     case EventKind::kDurMark: return "dur_mark";
     case EventKind::kDurApply: return "dur_apply";
-    case EventKind::kClockPublish: return "clock_publish";
   }
   return "?";
 }
@@ -376,13 +374,6 @@ inline void commit(TraceRing* r, ExecPath tier) {
 }
 inline void cm_event(TraceRing* r, EventKind k) {
   if (r != nullptr) r->emit(k);
-}
-/// Cached-clock mode: a cross-socket publish of the global clock cell,
-/// emitted at the on_abort progress bump. The read-version extension's
-/// GlobalVersionClock::lift writes the global cell too; global_publishes()
-/// counts it, but it is not traced.
-inline void clock_publish(TraceRing* r) {
-  if (r != nullptr) r->emit(EventKind::kClockPublish);
 }
 /// One durable phase completed; call with the phase's own rdtsc span.
 inline void durable_phase(TraceRing* r, EventKind k, std::uint64_t cycles) {

@@ -19,6 +19,8 @@ namespace rhtm {
 
 struct UniverseConfig {
   HtmConfig htm;
+  /// The one flat stripe table's geometry (core/stripe.h); its pages fault
+  /// in on first touch, so building a universe writes none of them.
   StripeConfig stripe;
   /// Clock rule (core/clock.h). GV6 keeps the clock store out of every
   /// hardware commit; software readers extend their read version past its
@@ -44,36 +46,9 @@ struct UniverseConfig {
   /// (the default) disables tracing: the per-event cost collapses to one
   /// predictable null-check branch.
   trace::Tracer* tracer = nullptr;
-  /// NUMA geometry axis (core/topology.h; --numa bench flag). kOff keeps
-  /// the flat stripe table and plain clock bit-identical to the pre-NUMA
-  /// universe; kShard sockets-shards the stripe table (first-touch
-  /// allocated); kShardClock additionally runs the GV6 clock (whatever
-  /// gv_mode says) with per-socket cached replicas.
-  NumaMode numa = NumaMode::kOff;
-  /// Topology override for tests/benches; null resolves to
-  /// Topology::system(). Non-owning — must outlive the universe.
-  const Topology* topology = nullptr;
 };
 
-/// The topology a universe built from `cfg` operates over.
-[[nodiscard]] inline const Topology& resolve_topology(const UniverseConfig& cfg) {
-  return cfg.topology != nullptr ? *cfg.topology : Topology::system();
-}
-
 namespace detail {
-/// Derives the stripe-table shard geometry from the numa mode: per-socket
-/// shards (StripeTable rounds up to a power of two) when sharding is on,
-/// the flat table otherwise.
-[[nodiscard]] inline StripeConfig sharded_stripe_config(const UniverseConfig& cfg) {
-  StripeConfig sc = cfg.stripe;
-  if (cfg.numa != NumaMode::kOff) {
-    const Topology& topo = resolve_topology(cfg);
-    sc.shards = topo.socket_count();
-    sc.topology = &topo;
-  }
-  return sc;
-}
-
 /// hw_commit_stamp()'s check for commits that vet their stripes elsewhere.
 inline constexpr auto kNoStripeCheck = [](auto&, std::uint32_t) {};
 }  // namespace detail
@@ -83,12 +58,7 @@ class TmUniverse {
  public:
   TmUniverse() : TmUniverse(UniverseConfig{}) {}
   explicit TmUniverse(const UniverseConfig& cfg)
-      : cfg_(cfg),
-        topo_(&resolve_topology(cfg)),
-        htm_(cfg.htm),
-        stripes_(detail::sharded_stripe_config(cfg)),
-        clock_(cfg.gv_mode,
-               cfg.numa == NumaMode::kShardClock ? topo_ : nullptr) {
+      : cfg_(cfg), htm_(cfg.htm), stripes_(cfg.stripe), clock_(cfg.gv_mode) {
     if (cfg_.durable) pmem_ = std::make_unique<PersistentDomain>(cfg_.pmem);
   }
 
@@ -158,9 +128,9 @@ class TmUniverse {
     }
   }
 
-  /// A software abort's clock rule (GV6 advances the global cell, which
+  /// A software abort's clock rule (GV6 advances the clock cell, which
   /// hardware transactions read), atomic with respect to hardware commits.
-  void clock_on_abort(trace::TraceRing* ring) {
+  void clock_on_abort() {
     if (clock_.hw_writes_clock()) {
       // GV1/GV4 keep no abort rule, except on a substrate whose hardware
       // commits are plain accesses (emul): two racing commits can leave
@@ -171,13 +141,7 @@ class TmUniverse {
       return;
     }
     htm_.nontx_atomic([&] { clock_.on_abort(); });
-    if (clock_.cached()) trace::clock_publish(ring);
   }
-
-  /// The NUMA geometry axis this universe was built with.
-  [[nodiscard]] NumaMode numa() const { return cfg_.numa; }
-  /// The resolved topology (config override or Topology::system()).
-  [[nodiscard]] const Topology& topology() const { return *topo_; }
 
   /// A fresh per-thread trace ring, or null when tracing is off (or the
   /// tracer's ring budget is exhausted — callers treat both as "no trace").
@@ -187,7 +151,6 @@ class TmUniverse {
 
  private:
   UniverseConfig cfg_;
-  const Topology* topo_;
   H htm_;
   StripeTable stripes_;
   GlobalVersionClock clock_;

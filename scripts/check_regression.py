@@ -59,7 +59,6 @@ GATED_LOWER_IS_BETTER = {
     "p999_us",
     "fences_per_commit",
     "wasted_speculation_pct",
-    "cross_socket_penalty",
 }
 
 
@@ -334,11 +333,6 @@ def self_test():
                  "ok": ((5, 20), (300, 100)),
                  "bad": ((20, 20), (300, 100)),
              }),
-            ("numa", "RH1-Fast", "TL2", "cross_socket_penalty", "total_ops", {
-                "old": ((2, 2), (300, 100)),
-                "ok": ((1, 2), (300, 100)),
-                "bad": ((4, 2), (300, 100)),
-            }),
         )
         for scenario, num, den, metric, rider, runs in families:
             for run, values in runs.items():

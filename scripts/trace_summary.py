@@ -18,9 +18,8 @@ the Chrome trace-event mapping Perfetto loads:
   * durable commit phases are "X" slices "dur:log|mark|apply" (cat
     "durable"), nested inside their transaction;
   * attempts ("attempt:<path>"), aborts ("abort:<cause>"), escalations
-    ("esc:<path>", "fallback_lock"), clock publishes ("clock_publish") and
-    contention-manager decisions ("cm:sw_enter|sw_exit|sw_probe") are
-    thread-scoped "i" instants;
+    ("esc:<path>", "fallback_lock") and contention-manager decisions
+    ("cm:sw_enter|sw_exit|sw_probe") are thread-scoped "i" instants;
   * one track per ring, named "ctx<id> (dropped=<n>)".
 Timestamps are microseconds since the tracer's construction (tsc0).
 
@@ -51,7 +50,7 @@ EVENT = struct.Struct("<QIBBH")       # trace::Event: tsc, arg, kind, a, ring
 
 # trace::EventKind values.
 (TX_BEGIN, HW_ATTEMPT, ABORT, ESCALATE, FALLBACK_LOCK, COMMIT, SW_ENTER, SW_EXIT,
- SW_PROBE, DUR_LOG, DUR_MARK, DUR_APPLY, CLOCK_PUBLISH) = range(1, 14)
+ SW_PROBE, DUR_LOG, DUR_MARK, DUR_APPLY) = range(1, 13)
 
 # ExecPath::to_string (core/stats.h), by value — the tiers a commit may
 # carry. An unknown tier renders as "?" and is counted but not attributed,
@@ -156,8 +155,6 @@ def chrome_events(header, rings, problems):
                 yield rid, "i", "fallback_lock", "escalate", ts, None
             elif kind in CM_NAMES:
                 yield rid, "i", CM_NAMES[kind], "cm", ts, None
-            elif kind == CLOCK_PUBLISH:
-                yield rid, "i", "clock_publish", "clock", ts, None
             else:
                 problems.append(f"ring {rid}: unknown event kind {kind}")
 

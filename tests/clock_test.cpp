@@ -1,13 +1,14 @@
 // Global version clock: per-mode semantics, monotonicity, concurrent
-// uniqueness under GV1, exact publish tallies across threads, and the
-// catch-up lift the read-version extension uses.
+// uniqueness under GV1, exact publish tallies across threads, the
+// catch-up lift the read-version extension uses, and a universe's GV1
+// clock/stripe decisions pinned against the historical formulas.
 
 #include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "core/clock.h"
+#include "core/rhtm.h"
 #include "test_common.h"
 
 namespace rhtm {
@@ -59,7 +60,6 @@ void gv1_publish_tally_exact() {
   }
   for (auto& w : workers) w.join();
   CHECK_EQ(clock.global_publishes(), std::uint64_t{2} * kThreads * kPerThread);
-  CHECK_EQ(clock.local_publishes(), 0u);
 }
 
 void gv4_batches() {
@@ -162,24 +162,53 @@ void lift_that_writes_is_one_publish() {
   CHECK_EQ(clock.global_publishes(), 2u);
 }
 
-/// Cached clock: the lift also raises the caller's home replica (read()
-/// comes from it), never another socket's, and a replica that lags a
-/// global already covering the stamp costs no global publish.
-void lift_raises_the_home_replica() {
-  const Topology topo = Topology::fake({{0}, {1}});
-  GlobalVersionClock clock(GvMode::kGv6, &topo);
-  set_thread_socket_override(0);
-  clock.lift(5);
-  CHECK_EQ(clock.read(), 5u);
-  CHECK_EQ(clock.cell().word.load(), 5u);
-  CHECK_EQ(clock.global_publishes(), 1u);
-  set_thread_socket_override(1);
-  CHECK_EQ(clock.read(), 0u);
-  clock.lift(3);
-  CHECK_EQ(clock.read(), 3u);
-  CHECK_EQ(clock.cell().word.load(), 5u);
-  CHECK_EQ(clock.global_publishes(), 1u);
-  set_thread_socket_override(-1);
+void plain_clock_unchanged_by_counters() {
+  // The publish tally leaves the historical sequences bit-for-bit.
+  GlobalVersionClock g1(GvMode::kGv1);
+  CHECK(g1.hw_writes_clock());
+  CHECK_EQ(g1.next(), 1u);
+  CHECK_EQ(g1.next(), 2u);
+  CHECK_EQ(g1.read(), 2u);
+  CHECK_EQ(g1.global_publishes(), 2u);
+  GlobalVersionClock g6(GvMode::kGv6);
+  CHECK(!g6.hw_writes_clock());
+  CHECK_EQ(g6.next(), 1u);
+  CHECK_EQ(g6.read(), 0u);
+  g6.on_abort();
+  CHECK_EQ(g6.read(), 1u);
+}
+
+/// Replay pin: a universe built with the GV1 clock makes exactly the
+/// historical clock/lock decisions — GV1 advances once per software
+/// write-commit, and the stripe hash is the unchanged golden-ratio formula
+/// over the unchanged index space.
+void off_mode_bit_identical_decisions() {
+  UniverseConfig cfg;
+  cfg.gv_mode = GvMode::kGv1;
+  TmUniverse<HtmSim> u(cfg);
+  int probe = 0;
+  for (int off = 0; off < 32; ++off) {
+    const void* addr = reinterpret_cast<const char*>(&probe) + 512 * off;
+    const auto granule = reinterpret_cast<std::uintptr_t>(addr) >>
+                         u.stripes().config().granularity_log2;
+    const std::size_t expect =
+        (static_cast<std::uint64_t>(granule) * 0x9e3779b97f4a7c15ull >> 32) &
+        (u.stripes().count() - 1);
+    CHECK_EQ(u.stripes().index_of(addr), expect);
+  }
+  Tl2<HtmSim> tl2(u);
+  Tl2<HtmSim>::ThreadCtx ctx(tl2);
+  std::vector<TmCell> cells(8);
+  for (int i = 0; i < 100; ++i) {
+    tl2.atomically(ctx, [&](auto& tx) {
+      const TmWord v = tx.load(cells[i % 8]);
+      tx.store(cells[i % 8], v + 1);
+    });
+  }
+  // GV1, single thread, no aborts: one clock increment per write commit.
+  CHECK_EQ(ctx.stats.commits, 100u);
+  CHECK_EQ(ctx.stats.aborts, 0u);
+  CHECK_EQ(u.clock().read(), 100u);
 }
 
 }  // namespace
@@ -197,6 +226,7 @@ int main() {
       TestCase{"lift_never_lowers_the_clock", rhtm::lift_never_lowers_the_clock},
       TestCase{"lift_covered_is_a_noop", rhtm::lift_covered_is_a_noop},
       TestCase{"lift_that_writes_is_one_publish", rhtm::lift_that_writes_is_one_publish},
-      TestCase{"lift_raises_the_home_replica", rhtm::lift_raises_the_home_replica},
+      TestCase{"plain_clock_unchanged_by_counters", rhtm::plain_clock_unchanged_by_counters},
+      TestCase{"off_mode_bit_identical_decisions", rhtm::off_mode_bit_identical_decisions},
   });
 }

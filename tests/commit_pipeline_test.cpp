@@ -85,28 +85,16 @@ std::uint64_t commits_on(const TxStats& s, ExecPath p) {
   return s.commits_by_path[static_cast<std::size_t>(p)];
 }
 
-/// Every test below runs twice: numa=off (flat stripe table, the historical
-/// layout) and numa=shard (per-socket shards behind the same façade). The
-/// pipeline observables — commit path, footprint, mask hygiene — must be
-/// identical, because sharding only relocates storage; it never changes a
-/// lock or validation decision.
-UniverseConfig with_numa(UniverseConfig ucfg, NumaMode mode) {
-  static const Topology topo = Topology::fake({{0, 1, 2, 3}, {4, 5, 6, 7}});
-  ucfg.numa = mode;
-  ucfg.topology = &topo;
-  return ucfg;
-}
-
 /// One TL2 transaction reading 20k cells and writing 40k more. Under the
 /// old per-entry `is_self` linear scan this commit was O(W x locked) ~ 1e9
 /// stripe compares (seconds of wall clock); deduped + sorted it is O(W log
 /// W). The suite-level observable is this test finishing instantly.
-void large_write_set_tl2_commit(NumaMode numa) {
+void large_write_set_tl2_commit() {
   constexpr std::size_t kReads = 20000;
   constexpr std::size_t kWrites = 40000;
   UniverseConfig ucfg;
   ucfg.stripe.granularity_log2 = 3;  // 1 word per stripe: maximal lock count
-  TmUniverse<HtmSim> u(with_numa(ucfg, numa));
+  TmUniverse<HtmSim> u(ucfg);
   Tl2<HtmSim> tm(u);
   Tl2<HtmSim>::ThreadCtx ctx(tm);
 
@@ -133,11 +121,11 @@ void large_write_set_tl2_commit(NumaMode numa) {
 /// the raw read count (2400) dwarfs the distinct stripe count (<= 8). The
 /// reduced commit must fit the 64-entry hardware budget — under the old
 /// duplicate-logging ReadSet it overflowed and escalated to RH2.
-void reduced_commit_footprint_is_distinct_stripes(NumaMode numa) {
+void reduced_commit_footprint_is_distinct_stripes() {
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = 64;
   ucfg.htm.max_write_set = 64;
-  TmUniverse<HtmEmul> u(with_numa(ucfg, numa));
+  TmUniverse<HtmEmul> u(ucfg);
   HybridTm<HtmEmul>::Config cfg;
   cfg.force_slow_path = true;  // software body + reduced hardware commit
   HybridTm<HtmEmul> tm(u, cfg);
@@ -162,11 +150,11 @@ void reduced_commit_footprint_is_distinct_stripes(NumaMode numa) {
 /// Same shape under the simulator's real distinct-line accounting: the
 /// transaction commits on the RH1-slow tier and the published values are
 /// correct (the reduced commit stamped each unique stripe exactly once).
-void reduced_commit_dedup_sim(NumaMode numa) {
+void reduced_commit_dedup_sim() {
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = 64;
   ucfg.htm.max_write_set = 64;
-  TmUniverse<HtmSim> u(with_numa(ucfg, numa));
+  TmUniverse<HtmSim> u(ucfg);
   HybridTm<HtmSim>::Config cfg;
   cfg.force_slow_path = true;
   HybridTm<HtmSim> tm(u, cfg);
@@ -188,12 +176,12 @@ void reduced_commit_dedup_sim(NumaMode numa) {
 /// RH2 whose write-set-only hardware commit overflows: the all-software
 /// slow-slow commit must admit the transaction's own published read masks
 /// (via the O(1) self-mask set), commit, and unpublish every mask.
-void rh2_slow_slow_respects_own_masks(NumaMode numa) {
+void rh2_slow_slow_respects_own_masks() {
   constexpr std::size_t kCells = 4000;
   UniverseConfig ucfg;
   ucfg.htm.max_read_set = 64;
   ucfg.htm.max_write_set = 64;
-  TmUniverse<HtmSim> u(with_numa(ucfg, numa));
+  TmUniverse<HtmSim> u(ucfg);
   HybridTm<HtmSim>::Config cfg;
   cfg.force_rh2 = true;
   HybridTm<HtmSim> tm(u, cfg);
@@ -299,24 +287,12 @@ void hw_footprint_per_path(GvMode gv) {
 
 int main() {
   using rhtm::test::TestCase;
-  using rhtm::NumaMode;
   return rhtm::test::run_tests({
-      TestCase{"large_write_set_tl2_commit",
-               [] { rhtm::large_write_set_tl2_commit(NumaMode::kOff); }},
-      TestCase{"large_write_set_tl2_commit_numa_shard",
-               [] { rhtm::large_write_set_tl2_commit(NumaMode::kShard); }},
+      TestCase{"large_write_set_tl2_commit", rhtm::large_write_set_tl2_commit},
       TestCase{"reduced_commit_footprint_is_distinct_stripes",
-               [] { rhtm::reduced_commit_footprint_is_distinct_stripes(NumaMode::kOff); }},
-      TestCase{"reduced_commit_footprint_is_distinct_stripes_numa_shard",
-               [] { rhtm::reduced_commit_footprint_is_distinct_stripes(NumaMode::kShard); }},
-      TestCase{"reduced_commit_dedup_sim",
-               [] { rhtm::reduced_commit_dedup_sim(NumaMode::kOff); }},
-      TestCase{"reduced_commit_dedup_sim_numa_shard",
-               [] { rhtm::reduced_commit_dedup_sim(NumaMode::kShard); }},
-      TestCase{"rh2_slow_slow_respects_own_masks",
-               [] { rhtm::rh2_slow_slow_respects_own_masks(NumaMode::kOff); }},
-      TestCase{"rh2_slow_slow_respects_own_masks_numa_shard",
-               [] { rhtm::rh2_slow_slow_respects_own_masks(NumaMode::kShard); }},
+               rhtm::reduced_commit_footprint_is_distinct_stripes},
+      TestCase{"reduced_commit_dedup_sim", rhtm::reduced_commit_dedup_sim},
+      TestCase{"rh2_slow_slow_respects_own_masks", rhtm::rh2_slow_slow_respects_own_masks},
       TestCase{"hw_footprint_per_path_gv6",
                [] { rhtm::hw_footprint_per_path(rhtm::GvMode::kGv6); }},
       TestCase{"hw_footprint_per_path_gv1",

@@ -192,8 +192,7 @@ void adaptive_software_mode() {
   unsigned probes = 0;
   for (unsigned tx = 0; tx < kTxs; ++tx) {
     if (cm.start_in_software()) {
-      ++software;
-      cm.on_software_commit();  // software success does NOT break the streak
+      ++software;  // a software commit reports nothing: the streak stands
     } else {
       ++probes;
       (void)cm.give_up_hardware(AbortCause::kHtmConflict, rng);  // probe fails

@@ -163,61 +163,6 @@ void phased_bank() {
   CHECK_EQ(tm.software_pending(), 0u);  // phases drained
 }
 
-/// Shared fake 2-socket topology for the numa legs (the universe keeps a
-/// pointer to it, so it must outlive every universe built from it).
-const Topology& two_socket_topology() {
-  static const Topology topo = Topology::fake({{0, 1, 2, 3}, {4, 5, 6, 7}});
-  return topo;
-}
-
-UniverseConfig numa_config(NumaMode mode) {
-  UniverseConfig ucfg;
-  ucfg.numa = mode;
-  ucfg.topology = &two_socket_topology();
-  return ucfg;
-}
-
-/// numa parametrization: the same bank invariants must hold with the stripe
-/// table sharded per socket (numa=shard) — the façade may not change any
-/// lock/validate decision — and with the per-socket cached clock stacked on
-/// top (numa=shard+clock), whose lagging replicas may only ever cause
-/// spurious revalidation, never admit a torn snapshot.
-template <class H>
-void numa_shard_tl2_bank() {
-  TmUniverse<H> u(numa_config(NumaMode::kShard));
-  Tl2<H> tm(u);
-  bank_test(tm, 4);
-}
-
-template <class H>
-void numa_shard_rh1_mixed_bank() {
-  TmUniverse<H> u(numa_config(NumaMode::kShard));
-  typename HybridTm<H>::Config cfg;
-  cfg.slow_retry_percent = 100;
-  cfg.inject_abort_bp = 2000;
-  HybridTm<H> tm(u, cfg);
-  bank_test(tm, 4);
-}
-
-template <class H>
-void numa_shard_rh2_forced_bank() {
-  TmUniverse<H> u(numa_config(NumaMode::kShard));
-  typename HybridTm<H>::Config cfg;
-  cfg.force_rh2 = true;
-  HybridTm<H> tm(u, cfg);
-  bank_test(tm, 4);
-}
-
-template <class H>
-void numa_shard_clock_mixed_bank() {
-  TmUniverse<H> u(numa_config(NumaMode::kShardClock));
-  typename HybridTm<H>::Config cfg;
-  cfg.slow_retry_percent = 100;
-  cfg.inject_abort_bp = 2000;
-  HybridTm<H> tm(u, cfg);
-  bank_test(tm, 4);
-}
-
 /// Every other case runs the default clock (GV6 with read-version
 /// extension); these pin each clock rule explicitly, GV1 included — the
 /// former default, where every hardware commit stores the clock.
@@ -262,10 +207,6 @@ int main() {
       TestCase{"phased_bank", rhtm::phased_bank<HtmSim>},
       TestCase{"gv6_mixed_bank", rhtm::clock_mixed_bank<HtmSim, rhtm::GvMode::kGv6>},
       TestCase{"gv1_mixed_bank", rhtm::clock_mixed_bank<HtmSim, rhtm::GvMode::kGv1>},
-      TestCase{"numa_shard_tl2_bank", rhtm::numa_shard_tl2_bank<HtmSim>},
-      TestCase{"numa_shard_rh1_mixed_bank", rhtm::numa_shard_rh1_mixed_bank<HtmSim>},
-      TestCase{"numa_shard_rh2_forced_bank", rhtm::numa_shard_rh2_forced_bank<HtmSim>},
-      TestCase{"numa_shard_clock_mixed_bank", rhtm::numa_shard_clock_mixed_bank<HtmSim>},
       TestCase{"rtm_banner", rhtm::rtm_banner},
       TestCase{"rtm_tl2_bank", rhtm::tl2_bank<HtmRtm>},
       TestCase{"rtm_htm_only_bank", rhtm::htm_only_bank<HtmRtm>},
@@ -276,8 +217,5 @@ int main() {
       TestCase{"rtm_hybrid_norec_bank", rhtm::hybrid_norec_bank<HtmRtm>},
       TestCase{"rtm_phased_bank", rhtm::phased_bank<HtmRtm>},
       TestCase{"rtm_gv1_mixed_bank", rhtm::clock_mixed_bank<HtmRtm, rhtm::GvMode::kGv1>},
-      TestCase{"rtm_numa_shard_rh1_mixed_bank", rhtm::numa_shard_rh1_mixed_bank<HtmRtm>},
-      TestCase{"rtm_numa_shard_clock_mixed_bank",
-               rhtm::numa_shard_clock_mixed_bank<HtmRtm>},
   });
 }

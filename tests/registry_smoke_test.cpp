@@ -45,7 +45,7 @@ bench::Options tiny_options() {
 
 void test_registry_contents() {
   const auto scenarios = bench::Registry::instance().sorted();
-  CHECK(scenarios.size() >= 24);
+  CHECK(scenarios.size() >= 23);
   std::set<std::string> names;
   for (const bench::Scenario& s : scenarios) {
     CHECK(s.name != nullptr && s.paper_ref != nullptr && s.summary != nullptr);
@@ -57,7 +57,7 @@ void test_registry_contents() {
         "fig3_sortedlist", "fig3_randomarray", "ext_hybrids", "ablation_clock",
         "ablation_stripes", "ablation_capacity", "ablation_readmask", "ablation_policy",
         "micro_htm", "micro_barriers", "skiplist", "zipfian_mix", "mutating_tree", "queue",
-        "phased", "commit_path", "service", "durable", "contention", "numa"}) {
+        "phased", "commit_path", "service", "durable", "contention"}) {
     CHECK(names.count(required) == 1);
   }
 }
@@ -133,16 +133,6 @@ const ShapePin kExpectedShapes[] = {
      "8192-node Mutating RB-Tree (domain 16384), 20% structural mutations, all protocols (substrate=sim) | threads | total_ops | HTM@1,2; StandardHyTM@1,2; TL2@1,2; RH1-Fast@1,2; RH1-Mix10@1,2; RH1-Mix100@1,2; HybridNOrec@1,2; PhasedTM@1,2"},
     {"mutating_tree",
      "Constant vs mutating RB-tree, 8192 live nodes, 20% mutations (-const overwrites in place, -mut rebalances; mut_over_const on -mut rows) | threads | total_ops | HTM-const@1,2; StandardHyTM-const@1,2; TL2-const@1,2; RH1-Fast-const@1,2; HTM-mut@1,2; StandardHyTM-mut@1,2; TL2-mut@1,2; RH1-Fast-mut@1,2"},
-    {"numa",
-     "Compact vs scatter placement, socket-partitioned transfers (50% remote, numa=off, substrate=sim) | threads | total_ops | TL2/compact@1,2; TL2/scatter@1,2; RH1-Fast/compact@1,2; RH1-Fast/scatter@1,2; RH1-Mix100/compact@1,2; RH1-Mix100/scatter@1,2"},
-    {"numa",
-     "Cross-socket placement penalty (compact_ops/scatter_ops, lower is better, numa=off) | threads | cross_socket_penalty | TL2@1,2; RH1-Fast@1,2; RH1-Mix100@1,2"},
-    {"numa",
-     "Cross-socket transfer-rate sweep, scatter placement (threads=2, numa=off) | remote_pct | total_ops | TL2@0,25,50,100; RH1-Fast@0,25,50,100; RH1-Mix100@0,25,50,100"},
-    {"numa",
-     "Numa-mode sweep: clock publishes per commit (x: 0=off 1=shard 2=shard+clock, scatter, 50% remote, threads=2) | numa_mode | clock_publishes_per_commit | TL2@0,1,2; RH1-Fast@0,1,2; RH1-Mix100@0,1,2"},
-    {"numa",
-     "Per-socket thread sweep, socket-local transfers (numa=off) | threads | total_ops | TL2/socket0@1,2; RH1-Fast/socket0@1,2; RH1-Mix100/socket0@1,2; TL2/socket1@1,2; RH1-Fast/socket1@1,2; RH1-Mix100/socket1@1,2"},
     {"phased",
      "Phased run (read_mostly -> write_burst -> snapshot) at 2 threads, per-phase rows (substrate=sim) | phase | phase_total_ops | HTM@0,1,2; StandardHyTM@0,1,2; TL2@0,1,2; RH1-Fast@0,1,2; RH1-Mix10@0,1,2; RH1-Mix100@0,1,2; HybridNOrec@0,1,2; PhasedTM@0,1,2"},
     {"phased",
@@ -206,11 +196,6 @@ const MetricPin kExpectedMetrics[] = {
     {"micro_htm", 0, "commit_rate,ns_per_call,ns_per_item"},
     {"mutating_tree", 0, "abort_ratio,aborts,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
     {"mutating_tree", 1, "abort_ratio,aborts,commits,mut_over_const,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
-    {"numa", 0, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
-    {"numa", 1, "compact_ops,cross_socket_penalty,scatter_ops"},
-    {"numa", 2, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
-    {"numa", 3, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
-    {"numa", 4, "abort_ratio,aborts,clock_cache_refreshes_per_commit,clock_publishes_per_commit,commits,ops_per_sec,total_ops,wall_seconds,wasted_speculation_pct"},
     {"phased", 0, "abort_ratio,aborts,commits,long_op_percent,ops_per_sec,phase_seconds,phase_total_ops,total_ops,wall_seconds,wasted_speculation_pct,write_percent"},
     {"phased", 1, "abort_ratio,aborts,commits,ops_per_sec,schedule_total_ops,total_ops,wall_seconds,wasted_speculation_pct"},
     {"queue", 0, "abort_ratio,aborts,commits,ops_per_sec,queue_size_after,total_ops,wall_seconds,wasted_speculation_pct"},

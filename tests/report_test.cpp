@@ -371,38 +371,6 @@ void test_open_loop_fields_roundtrip() {
   expect_number(*metrics->get("dropped"), 486);
 }
 
-void test_socket_field_roundtrip() {
-  // Point::socket carries per-socket sweep geometry (the numa scenario). It
-  // is emitted only when >= 0, so every report that never sets it stays
-  // byte-identical to the previous schema — older readers see no new key.
-  report::BenchReport rep = sample_report();
-  CHECK(rep.to_json().find("\"socket\"") == std::string::npos);
-
-  report::TableData& per = rep.add_table("per-socket table");
-  per.add_series("TL2/socket0").add_point(2).set("total_ops", 777);
-  per.series.back().points.back().socket = 0;
-  per.add_series("TL2/socket1").add_point(2).set("total_ops", 778);
-  per.series.back().points.back().socket = 1;
-
-  const JsonValue root = JsonParser(rep.to_json()).parse();
-  const JsonValue* tables = root.get("tables");
-  CHECK(tables != nullptr && !tables->array.empty());
-  const JsonValue& table = tables->array.back();
-  for (int s = 0; s < 2; ++s) {
-    const JsonValue& point =
-        table.get("series")->array[static_cast<std::size_t>(s)].get("points")->array[0];
-    expect_number(*point.get("x"), 2);
-    const JsonValue* socket = point.get("socket");
-    CHECK(socket != nullptr);
-    if (socket != nullptr) expect_number(*socket, s);
-    expect_number(*point.get("metrics")->get("total_ops"), 777 + s);
-  }
-  // Points that never set a socket still emit none, even in the same report.
-  const JsonValue& plain =
-      tables->array[0].get("series")->array[0].get("points")->array[0];
-  CHECK(plain.get("socket") == nullptr);
-}
-
 void test_point_set_overwrites() {
   report::Point p;
   p.set("total_ops", 1).set("total_ops", 2);
@@ -458,7 +426,6 @@ int main() {
       {"empty_report", rhtm::test::test_empty_report},
       {"write_json_file", rhtm::test::test_write_json_file},
       {"open_loop_fields_roundtrip", rhtm::test::test_open_loop_fields_roundtrip},
-      {"socket_field_roundtrip", rhtm::test::test_socket_field_roundtrip},
       {"point_set_overwrites", rhtm::test::test_point_set_overwrites},
       {"timeline_roundtrip", rhtm::test::test_timeline_roundtrip},
   });

@@ -2,9 +2,8 @@
 // over the stripe table's version words and read masks and over the
 // durable image. Nothing is resident after construction, an RH1
 // transaction makes only the pages of its own stripes resident (and no
-// mask page), a visible-read (RH2) transaction makes its read stripes'
-// mask pages resident, and a NUMA-sharded table is placed eagerly by its
-// pinned builders, so all of it is resident at once.
+// mask page), and a visible-read (RH2) transaction makes its read stripes'
+// mask pages resident.
 
 #include <sys/mman.h>
 #include <unistd.h>
@@ -124,17 +123,6 @@ void rh2_faults_its_read_masks() {
   CHECK(mask_pages(st) >= read_masks.size());
 }
 
-void numa_sharded_table_placed_eagerly() {
-  const Topology topo = Topology::fake({{0}, {1}});
-  StripeConfig sc;
-  sc.shards = topo.socket_count();
-  sc.topology = &topo;
-  StripeTable st(sc);
-  CHECK_EQ(st.shard_count(), 2u);
-  CHECK_EQ(word_pages(st), total_pages(st));
-  CHECK_EQ(mask_pages(st), total_pages(st));
-}
-
 }  // namespace
 }  // namespace rhtm
 
@@ -145,6 +133,5 @@ int main() {
                rhtm::nothing_resident_after_construction},
       TestCase{"rh1_faults_only_its_stripes", rhtm::rh1_faults_only_its_stripes},
       TestCase{"rh2_faults_its_read_masks", rhtm::rh2_faults_its_read_masks},
-      TestCase{"numa_sharded_table_placed_eagerly", rhtm::numa_sharded_table_placed_eagerly},
   });
 }

@@ -22,8 +22,7 @@
 // Accounts are laid out shard-major: shard s owns the contiguous account
 // range [s * per_shard, (s + 1) * per_shard). The shard axis gives the
 // service scenario a knob between short audits (one shard) and full audits
-// (every account — a capacity-escalation driver on bounded-HTM substrates),
-// and is the unit future NUMA sharding distributes.
+// (every account — a capacity-escalation driver on bounded-HTM substrates).
 //
 // Conservation invariant: the sum of all balances equals total_minted() at
 // every transaction boundary — transfers move value, nothing creates or

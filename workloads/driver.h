@@ -3,7 +3,7 @@
 // Measurement drivers: multi-threaded throughput, the single-thread cycle
 // breakdown (paper Fig. 2 bottom) with its TimedHandle, a footprint-sweep
 // helper for capacity-path experiments, and the thread-affinity (pinning)
-// helper the NUMA/topology sweeps build on.
+// helper behind --pin.
 
 #include <atomic>
 #include <chrono>
@@ -31,11 +31,12 @@ namespace rhtm {
 ///  * compact — fill one socket's CPUs before moving to the next
 ///              (Topology::compact_cpu when discovery succeeds).
 ///  * scatter — round-robin across sockets first (Topology::scatter_cpu):
-///              thread t lands on socket t % socket_count, agreeing with
-///              the stripe-shard home-socket rule in core/stripe.h.
+///              thread t lands on socket t % socket_count. On a one-socket
+///              host that is compact's placement.
 /// When topology discovery falls back to single-node, both modes degrade
-/// to the index-striding pin_cpu_for below (scatter warns once — on an SMT
-/// box the naive stride interleaves hyperthread siblings, not sockets).
+/// to the index-striding pin_cpu_for below, where scatter alternates across
+/// the CPU id halves (it warns once — on an SMT box the naive stride
+/// interleaves hyperthread siblings, not sockets).
 enum class PinMode : std::uint8_t { kNone, kCompact, kScatter };
 
 [[nodiscard]] constexpr const char* to_string(PinMode m) {
@@ -75,8 +76,7 @@ enum class PinMode : std::uint8_t { kNone, kCompact, kScatter };
 
 /// Pins the calling thread per `mode`. With a discovered topology the
 /// target is the topology-derived absolute CPU (compact_cpu / scatter_cpu)
-/// whenever that CPU is in this process's allowed set — so pinning and
-/// stripe sharding agree on socket geometry. Otherwise (single-node
+/// whenever that CPU is in this process's allowed set. Otherwise (single-node
 /// fallback, taskset masks excluding the target) the pin_cpu_for index
 /// selects into the CPUs this process is actually *allowed* to run on
 /// (sched_getaffinity), not into [0, N) — so pinning still works under
